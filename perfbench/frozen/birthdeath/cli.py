@@ -1,0 +1,452 @@
+"""Command-line interface: one executable, JSON config in, CSV + manifest out.
+
+Subcommands: check, simulate, hierarchy (evolve | stationary), vlasov,
+scale-compare.  Every run reads a single JSON configuration document,
+validates it strictly (unknown keys are rejected), writes CSV data files
+plus a JSON manifest echoing the configuration, and exits with 0 on
+success (for `check`: conditions hold), 1 when conditions fail or a
+computation aborts, 2 on usage or configuration errors.
+"""
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from . import __version__
+from .conditions import check_conditions, verify_kernel_bounds
+from .configurations import FiniteConfiguration
+from .errors import (BirthDeathError, BlowUpError, ConditionError, ConfigError,
+                     KernelBoundError, SimulationAbort, StabilityError)
+from .hierarchy import CorrelationVector, HierarchyConfig, evolve, stationary_solve
+from .kernels import BoxKernel, GaussianKernel, normalize_on_grid
+from .models import BDLPModel, GlauberModel
+from .simulate import FixedInitial, PoissonInitial, run_ensemble
+from .space import Grid, Torus
+from .vlasov import integrate as integrate_vlasov
+from .vlasov import scaling_compare
+
+_KERNEL_KEYS = {"box": {"shape", "height", "radius"},
+                "gaussian": {"shape", "height", "sigma", "cutoff"}}
+_MODEL_KEYS = {"glauber": {"name", "s", "z", "phi"},
+               "bdlp": {"name", "m", "kappa_minus", "kappa_plus", "a_minus", "a_plus"},
+               "bdlp_modified": {"name", "m", "kappa_minus", "kappa_plus",
+                                 "kappa", "a_minus", "a_plus"}}
+_SPACE_KEYS = {"d", "L", "M"}
+_WEIGHTS_KEYS = {"C", "n_max", "zeta_max", "N_max", "closure"}
+_RUN_KEYS = {"T", "dt", "replicas", "seed", "snapshots", "snapshot_times", "burn_in",
+             "initial", "initial_density", "eps", "eps_list", "scaled", "tol",
+             "max_iter", "population_cap", "verify_samples", "verify_seed",
+             "homogeneous"}
+_TOP_KEYS = {"model", "space", "weights", "run", "output"}
+
+
+def _check_keys(block: dict, allowed: set, where: str) -> None:
+    unknown = set(block) - allowed
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _need(block: dict, key: str, where: str):
+    if key not in block:
+        raise ConfigError(f"missing required key '{key}' in {where}")
+    return block[key]
+
+
+def load_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError("config root must be a JSON object")
+    _check_keys(cfg, _TOP_KEYS, "config root")
+    for key in ("model", "space"):
+        _need(cfg, key, "config root")
+    return cfg
+
+
+def build_space(cfg: dict):
+    block = cfg["space"]
+    _check_keys(block, _SPACE_KEYS, "space block")
+    torus = Torus(int(_need(block, "d", "space")), float(_need(block, "L", "space")))
+    grid = Grid(torus, int(_need(block, "M", "space")))
+    return torus, grid
+
+
+def build_kernel(spec: dict, where: str):
+    if not isinstance(spec, dict) or "shape" not in spec:
+        raise ConfigError(f"{where} must be an object with a 'shape' key")
+    shape = spec["shape"]
+    if shape not in _KERNEL_KEYS:
+        raise ConfigError(f"unknown kernel shape '{shape}' in {where}")
+    _check_keys(spec, _KERNEL_KEYS[shape], where)
+    try:
+        if shape == "box":
+            return BoxKernel(float(spec.get("height", 1.0)), float(_need(spec, "radius", where)))
+        return GaussianKernel(float(spec.get("height", 1.0)),
+                              float(_need(spec, "sigma", where)),
+                              float(_need(spec, "cutoff", where)))
+    except ValueError as exc:
+        raise ConfigError(f"bad kernel in {where}: {exc}")
+
+
+def build_model(cfg: dict, torus: Torus, grid: Grid):
+    block = cfg["model"]
+    name = _need(block, "name", "model block")
+    if name not in _MODEL_KEYS:
+        raise ConfigError(f"unknown model '{name}'")
+    _check_keys(block, _MODEL_KEYS[name], "model block")
+    try:
+        if name == "glauber":
+            return GlauberModel(torus, float(_need(block, "s", "model")),
+                                float(_need(block, "z", "model")),
+                                build_kernel(_need(block, "phi", "model"), "model.phi"))
+        a_minus = normalize_on_grid(build_kernel(_need(block, "a_minus", "model"),
+                                                 "model.a_minus"), grid)
+        a_plus = normalize_on_grid(build_kernel(_need(block, "a_plus", "model"),
+                                                "model.a_plus"), grid)
+        kappa = float(_need(block, "kappa", "model")) if name == "bdlp_modified" else 0.0
+        if name == "bdlp_modified" and kappa <= 0:
+            raise ConfigError("bdlp_modified requires kappa > 0")
+        return BDLPModel(torus, float(_need(block, "m", "model")),
+                         float(_need(block, "kappa_minus", "model")),
+                         float(_need(block, "kappa_plus", "model")),
+                         a_minus, a_plus, kappa)
+    except (ValueError, BirthDeathError) as exc:
+        if isinstance(exc, ConfigError):
+            raise
+        raise ConfigError(f"invalid model parameters: {exc}")
+
+
+def _weights(cfg: dict) -> dict:
+    block = dict(cfg.get("weights", {}))
+    _check_keys(block, _WEIGHTS_KEYS, "weights block")
+    out = {"C": float(block.get("C", 1.5)), "n_max": int(block.get("n_max", 12)),
+           "zeta_max": int(block.get("zeta_max", 2)),
+           "N_max": int(block.get("N_max", 2)),
+           "closure": str(block.get("closure", "poisson"))}
+    if out["C"] <= 1.0:
+        raise ConfigError("weights.C must exceed 1")
+    if out["N_max"] not in (1, 2):
+        raise ConfigError("weights.N_max must be 1 or 2")
+    if out["closure"] not in ("zero", "poisson"):
+        raise ConfigError("weights.closure must be 'zero' or 'poisson'")
+    return out
+
+
+def _run_block(cfg: dict) -> dict:
+    block = dict(cfg.get("run", {}))
+    _check_keys(block, _RUN_KEYS, "run block")
+    return block
+
+
+def _initial_density(run: dict, grid: Grid) -> np.ndarray:
+    rho = run.get("initial_density", 0.0)
+    if isinstance(rho, (int, float)):
+        return np.full(grid.node_count, float(rho))
+    arr = np.asarray(rho, dtype=float)
+    if arr.size != grid.node_count:
+        raise ConfigError(f"initial_density must be scalar or have M^d = {grid.node_count} entries")
+    return arr.reshape(grid.node_count)
+
+
+def _fmt(x) -> str:
+    return f"{float(x):.17g}"
+
+
+def write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+
+
+def write_manifest(out_dir: Path, cfg: dict, command: str, started: float,
+                   extra: dict) -> None:
+    blob = json.dumps(cfg, sort_keys=True).encode()
+    manifest = {
+        "command": command,
+        "version": f"birthdeath {__version__}+cfg.{hashlib.sha1(blob).hexdigest()[:8]}",
+        "wall_time_s": time.time() - started,
+        "config": cfg,
+    }
+    manifest.update(extra)
+    with open(out_dir / "manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _out_dir(cfg: dict, args) -> Path:
+    block = dict(cfg.get("output", {}))
+    _check_keys(block, {"directory"}, "output block")
+    directory = args.out or block.get("directory")
+    if not directory:
+        raise ConfigError("no output directory: set output.directory or pass --out")
+    path = Path(directory)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def cmd_check(cfg: dict, args) -> int:
+    started = time.time()
+    torus, grid = build_space(cfg)
+    model = build_model(cfg, torus, grid)
+    weights = _weights(cfg)
+    run = _run_block(cfg)
+    report = check_conditions(model, weights["C"], grid)
+    payload = report.as_dict()
+
+    n_verify = int(run.get("verify_samples", 0))
+    if n_verify > 0:
+        rng = np.random.Generator(np.random.PCG64(int(run.get("verify_seed", 0))))
+        samples = [FiniteConfiguration(rng.uniform(0, torus.length, (rng.integers(1, 4), torus.dim)),
+                                       torus) for _ in range(n_verify)]
+        try:
+            a1_hat, a2_hat = verify_kernel_bounds(model, weights["C"], grid, samples,
+                                                  declared=(report.a1, report.a2))
+            payload["verified"] = {"a1_hat": a1_hat, "a2_hat": a2_hat, "holds": True}
+        except KernelBoundError as exc:
+            payload["verified"] = {"holds": False, "reason": str(exc)}
+
+    out_dir = _out_dir(cfg, args)
+    with open(out_dir / "report.json", "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    write_manifest(out_dir, cfg, "check", started, {"report": payload})
+    if report.bound_3_2 and payload.get("verified", {}).get("holds", True):
+        print("conditions hold: a1 + a2/C = "
+              f"{report.sum_a:.6f} < 1.5")
+        return 0
+    failed = report.failed_inequalities()
+    print(f"conditions FAIL: a1 + a2/C = {report.sum_a:.6f}; failed: {failed}")
+    return 1
+
+
+def cmd_simulate(cfg: dict, args) -> int:
+    started = time.time()
+    torus, grid = build_space(cfg)
+    model = build_model(cfg, torus, grid)
+    run = _run_block(cfg)
+    replicas = int(run.get("replicas", 0))
+    if replicas < 1:
+        raise ConfigError("run.replicas must be >= 1")
+    T = float(_need(run, "T", "run"))
+    seed = int(args.seed if args.seed is not None else run.get("seed", 0))
+
+    init_spec = _need(run, "initial", "run block (simulate)")
+    _check_keys(init_spec, {"type", "intensity", "points"}, "run.initial")
+    if init_spec.get("type") == "poisson":
+        initial = PoissonInitial(float(_need(init_spec, "intensity", "run.initial")))
+    elif init_spec.get("type") == "fixed":
+        initial = FixedInitial(np.asarray(_need(init_spec, "points", "run.initial"), dtype=float))
+    else:
+        raise ConfigError("run.initial.type must be 'poisson' or 'fixed'")
+
+    snaps = run.get("snapshot_times")
+    if snaps is None:
+        n_snap = int(run.get("snapshots", 1))
+        burn = float(run.get("burn_in", 0.0))
+        snaps = list(np.linspace(burn, T, n_snap)) if n_snap > 1 else [T]
+    result = run_ensemble(model, initial, T, replicas, seed, grid,
+                          snapshot_times=snaps,
+                          burn_in=float(run.get("burn_in", 0.0)),
+                          eps=float(run.get("eps", 1.0)),
+                          scaled=bool(run.get("scaled", False)),
+                          population_cap=int(run.get("population_cap", 100_000)),
+                          threads=args.threads)
+
+    out_dir = _out_dir(cfg, args)
+    corr = result.correlations
+    centers = grid.nodes + grid.spacing / 2.0
+    write_csv(out_dir / "k1.csv",
+              [f"bin_center_{i}" for i in range(torus.dim)] + ["estimate", "std_error"],
+              [list(centers[i]) + [corr.k1[i], corr.k1_se[i]] for i in range(grid.node_count)])
+    write_csv(out_dir / "k2.csv", ["bin_center", "estimate", "std_error"],
+              [[corr.k2_centers[i], corr.k2[i], corr.k2_se[i]]
+               for i in range(len(corr.k2_centers))])
+    write_csv(out_dir / "population.csv", ["time", "mean", "std_error"],
+              [[result.snapshot_times[i], result.population_mean[i], result.population_se[i]]
+               for i in range(len(result.snapshot_times))])
+    write_manifest(out_dir, cfg, "simulate", started,
+                   {"seed": seed, "replicas": replicas, "events": result.events})
+    return 0
+
+
+def _hierarchy_setup(cfg: dict):
+    torus, grid = build_space(cfg)
+    model = build_model(cfg, torus, grid)
+    weights = _weights(cfg)
+    run = _run_block(cfg)
+    return torus, grid, model, weights, run
+
+
+def cmd_hierarchy_evolve(cfg: dict, args) -> int:
+    started = time.time()
+    torus, grid, model, weights, run = _hierarchy_setup(cfg)
+    rho0 = _initial_density(run, grid)
+    homogeneous = bool(run.get("homogeneous", bool(np.all(rho0 == rho0[0]))))
+    k0 = CorrelationVector.coherent(grid, weights["C"], rho0,
+                                    order=weights["N_max"], homogeneous=homogeneous)
+    hcfg = HierarchyConfig(zeta_max=weights["zeta_max"], closure=weights["closure"],
+                           eps=float(run.get("eps", 1.0)))
+    T = float(_need(run, "T", "run"))
+    snaps = run.get("snapshot_times") or list(np.linspace(0.0, T, int(run.get("snapshots", 5))))
+    result = evolve(model, k0, T, dt=run.get("dt"), cfg=hcfg, snapshot_times=snaps)
+
+    out_dir = _out_dir(cfg, args)
+    _write_correlation_csvs(out_dir, grid, result.times, result.snapshots)
+    write_manifest(out_dir, cfg, "hierarchy evolve", started,
+                   {"dt": result.dt, "norms": result.norms, "times": result.times})
+    return 0
+
+
+def _write_correlation_csvs(out_dir: Path, grid: Grid, times, snapshots) -> None:
+    k1_rows = []
+    k2_rows = []
+    for t, snap in zip(times, snapshots):
+        for i in range(grid.node_count):
+            k1_rows.append([t] + list(grid.nodes[i]) + [snap.k1[i]])
+        if snap.k2 is None:
+            continue
+        if snap.homogeneous:
+            for u in range(grid.node_count):
+                k2_rows.append([t, u, float(grid.torus.distance(grid.nodes[u], grid.nodes[0])),
+                                snap.k2[u]])
+        else:
+            for i in range(grid.node_count):
+                for j in range(grid.node_count):
+                    k2_rows.append([t, i, j, snap.k2[i, j]])
+    dim = grid.torus.dim
+    write_csv(out_dir / "k1.csv", ["time"] + [f"x{i}" for i in range(dim)] + ["k1"], k1_rows)
+    header = ["time", "offset", "separation", "k2"] if snapshots[0].homogeneous \
+        else ["time", "i", "j", "k2"]
+    if snapshots[0].k2 is not None:
+        write_csv(out_dir / "k2.csv", header, k2_rows)
+
+
+def cmd_hierarchy_stationary(cfg: dict, args) -> int:
+    started = time.time()
+    torus, grid, model, weights, run = _hierarchy_setup(cfg)
+    hcfg = HierarchyConfig(zeta_max=weights["zeta_max"], closure=weights["closure"], eps=1.0)
+    result = stationary_solve(model, grid, weights["C"], cfg=hcfg,
+                              tol=float(run.get("tol", 1e-10)),
+                              max_iter=int(run.get("max_iter", 1000)))
+    out_dir = _out_dir(cfg, args)
+    _write_correlation_csvs(out_dir, grid, [0.0], [result.k_inv])
+    write_manifest(out_dir, cfg, "hierarchy stationary", started, {
+        "iterations": result.iterations,
+        "contraction_q": result.q,
+        "certificate": result.certificate,
+        "fixed_point_residual": result.residual,
+    })
+    return 0
+
+
+def cmd_vlasov(cfg: dict, args) -> int:
+    started = time.time()
+    torus, grid = build_space(cfg)
+    model = build_model(cfg, torus, grid)
+    run = _run_block(cfg)
+    rho0 = _initial_density(run, grid)
+    T = float(_need(run, "T", "run"))
+    dt = float(_need(run, "dt", "run"))
+    snaps = run.get("snapshot_times") or list(np.linspace(0.0, T, int(run.get("snapshots", 5))))
+    result = integrate_vlasov(model, grid, rho0, T, dt, snapshot_times=snaps)
+
+    out_dir = _out_dir(cfg, args)
+    rows = []
+    for t, f in zip(result.times, result.fields):
+        for i in range(grid.node_count):
+            rows.append([t] + list(grid.nodes[i]) + [f.rho[i]])
+    write_csv(out_dir / "rho.csv",
+              ["time"] + [f"x{i}" for i in range(torus.dim)] + ["rho"], rows)
+    write_manifest(out_dir, cfg, "vlasov", started,
+                   {"dt": result.dt, "clipped_mass": result.clipped_mass,
+                    "times": result.times})
+    return 0
+
+
+def cmd_scale_compare(cfg: dict, args) -> int:
+    started = time.time()
+    torus, grid = build_space(cfg)
+    model = build_model(cfg, torus, grid)
+    weights = _weights(cfg)
+    run = _run_block(cfg)
+    rho0 = _initial_density(run, grid)
+    T = float(_need(run, "T", "run"))
+    dt = float(_need(run, "dt", "run"))
+    eps_list = run.get("eps_list", [1.0, 0.3, 0.1, 0.03])
+    snaps = run.get("snapshot_times") or [T]
+    table = scaling_compare(model, grid, eps_list, rho0, T, dt, weights["C"],
+                            snapshot_times=snaps, zeta_max=weights["zeta_max"],
+                            closure=weights["closure"])
+    out_dir = _out_dir(cfg, args)
+    write_csv(out_dir / "errors.csv", ["eps", "time", "error"], list(table.rows()))
+    write_manifest(out_dir, cfg, "scale-compare", started,
+                   {"eps_list": list(map(float, eps_list)), "times": table.times})
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="birthdeath",
+        description="spatial birth-and-death dynamics: conditions, simulation, "
+                    "hierarchies, stationary states, mean-field scaling")
+    parser.add_argument("--config", required=True, help="path to the JSON run configuration")
+    parser.add_argument("--out", default=None, help="output directory (overrides config)")
+    parser.add_argument("--seed", type=int, default=None, help="seed override for simulate")
+    parser.add_argument("--threads", type=int, default=1, help="worker cap for replica runs")
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("check", help="evaluate the sufficient conditions")
+    sub.add_parser("simulate", help="run the event simulator ensemble")
+    hier = sub.add_parser("hierarchy", help="correlation-hierarchy computations")
+    hsub = hier.add_subparsers(dest="subcommand", required=True)
+    hsub.add_parser("evolve", help="integrate the hierarchy in time")
+    hsub.add_parser("stationary", help="solve the stationary equation")
+    sub.add_parser("vlasov", help="integrate the mean-field density equation")
+    sub.add_parser("scale-compare", help="scaled hierarchy vs mean-field error table")
+    return parser
+
+
+_DISPATCH = {
+    "check": cmd_check,
+    "simulate": cmd_simulate,
+    ("hierarchy", "evolve"): cmd_hierarchy_evolve,
+    ("hierarchy", "stationary"): cmd_hierarchy_stationary,
+    "vlasov": cmd_vlasov,
+    "scale-compare": cmd_scale_compare,
+}
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    try:
+        cfg = load_config(args.config)
+        key = args.command if args.command != "hierarchy" else ("hierarchy", args.subcommand)
+        return _DISPATCH[key](cfg, args)
+    except (ConfigError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (ConditionError, BlowUpError, SimulationAbort, StabilityError,
+            KernelBoundError) as exc:
+        print(f"aborted: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

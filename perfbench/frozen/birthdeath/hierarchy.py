@@ -1,0 +1,549 @@
+"""Truncated correlation-function hierarchies.
+
+The state is a correlation vector truncated at order one or two (density
+and pair function on the grid).  This module applies the dual generator
+of the birth-and-death dynamics to such vectors, integrates the resulting
+ODE system with classical RK4, applies the generalized Kirkwood-Salzburg
+operator, and solves the stationary equation by contraction iteration
+with a geometric-series error certificate.
+
+Integration over unresolved orders is truncated at a configurable kernel
+order, and values of the correlation vector beyond the truncation order
+are supplied by a closure rule: `zero` drops them, `poisson` peels excess
+points into density factors (exact on coherent vectors, i.e. on
+Poisson-factorized states).
+"""
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence
+
+import numpy as np
+
+from .conditions import check_conditions
+from .errors import BlowUpError, ConditionError, StabilityError, TruncationError
+from .models import KernelTables, RateModel
+from .space import Grid
+
+__all__ = [
+    "CorrelationVector", "QuasiObservable", "HierarchyConfig",
+    "apply_dual_generator", "ks_operator", "stationary_solve", "evolve",
+    "dual_pairing", "apply_forward_generator", "EvolveResult", "StationaryResult",
+]
+
+
+@dataclass(frozen=True)
+class HierarchyConfig:
+    """Truncation and scaling knobs of the hierarchy operators.
+
+    zeta_max bounds the kernel order kept in the integrals, closure picks
+    the rule for correlation orders above the truncation ('none' makes any
+    such occurrence an error instead), and eps selects the renormalized
+    scaled generator (1 = unscaled dynamics, 0 = the mean-field limit
+    symbols).
+    """
+
+    zeta_max: int = 2
+    closure: str = "poisson"
+    eps: float = 1.0
+
+    def __post_init__(self):
+        if self.zeta_max < 0:
+            raise ValueError("zeta_max must be >= 0")
+        if self.closure not in ("zero", "poisson", "none"):
+            raise ValueError("closure must be 'zero', 'poisson', or 'none'")
+        if not (0.0 <= self.eps <= 1.0):
+            raise ValueError("eps must lie in [0, 1]")
+
+
+@dataclass(frozen=True)
+class CorrelationVector:
+    """Truncated correlation vector on a grid with a Ruelle weight C.
+
+    k0 is the empty-configuration value (one for probability-normalized
+    states, zero for defect vectors), k1 the density on the grid, and k2
+    the pair function: either a full symmetric (N, N) table, or, in
+    homogeneous (translation-invariant) mode, a length-N function of the
+    node offset.  Homogeneous mode expects a constant k1.
+    """
+
+    grid: Grid
+    C: float
+    k0: float
+    k1: np.ndarray
+    k2: Optional[np.ndarray] = None
+    homogeneous: bool = False
+
+    def __post_init__(self):
+        if self.C <= 0:
+            raise ValueError("Ruelle weight C must be positive")
+        n = self.grid.node_count
+        object.__setattr__(self, "k1", np.asarray(self.k1, dtype=float).reshape(n))
+        if self.k2 is not None:
+            k2 = np.asarray(self.k2, dtype=float)
+            k2 = k2.reshape(n) if self.homogeneous else k2.reshape(n, n)
+            object.__setattr__(self, "k2", k2)
+
+    @property
+    def order(self) -> int:
+        return 2 if self.k2 is not None else 1
+
+    def k2_full(self) -> Optional[np.ndarray]:
+        """Pair table materialized to (N, N) regardless of representation."""
+        if self.k2 is None:
+            return None
+        if self.homogeneous:
+            return self.k2[self.grid.offset_index]
+        return self.k2
+
+    def ruelle_norm(self) -> float:
+        """Truncated weighted sup norm max_n sup |k^(n)| / C^n over
+        represented orders."""
+        norm = abs(self.k0)
+        norm = max(norm, float(np.max(np.abs(self.k1), initial=0.0)) / self.C)
+        if self.k2 is not None:
+            norm = max(norm, float(np.max(np.abs(self.k2), initial=0.0)) / self.C ** 2)
+        return norm
+
+    @classmethod
+    def zero(cls, grid: Grid, C: float, order: int = 2,
+             homogeneous: bool = False) -> "CorrelationVector":
+        n = grid.node_count
+        k2 = None
+        if order >= 2:
+            k2 = np.zeros(n) if homogeneous else np.zeros((n, n))
+        return cls(grid, C, 0.0, np.zeros(n), k2, homogeneous)
+
+    @classmethod
+    def vacuum(cls, grid: Grid, C: float, order: int = 2,
+               homogeneous: bool = False) -> "CorrelationVector":
+        """The vacuum state: one at the empty configuration, zero elsewhere."""
+        return replace(cls.zero(grid, C, order, homogeneous), k0=1.0)
+
+    @classmethod
+    def coherent(cls, grid: Grid, C: float, rho, order: int = 2,
+                 homogeneous: bool = False) -> "CorrelationVector":
+        """Poisson-factorized vector: k1 = rho, k2 = rho (x) rho, k0 = 1."""
+        n = grid.node_count
+        rho = np.broadcast_to(np.asarray(rho, dtype=float), (n,)).copy()
+        k2 = None
+        if order >= 2:
+            if homogeneous:
+                k2 = np.full(n, float(rho[0]) ** 2)
+            else:
+                k2 = np.outer(rho, rho)
+        return cls(grid, C, 1.0, rho, k2, homogeneous)
+
+    def _lin(self, coeffs_and_vectors) -> "CorrelationVector":
+        """self + sum of coef * vec over the represented orders (k0 kept)."""
+        k1 = self.k1.copy()
+        k2 = None if self.k2 is None else self.k2.copy()
+        for coef, vec in coeffs_and_vectors:
+            k1 += coef * vec.k1
+            if k2 is not None:
+                k2 += coef * vec.k2
+        return replace(self, k1=k1, k2=k2)
+
+    def diff_norm(self, other: "CorrelationVector") -> float:
+        d1 = float(np.max(np.abs(self.k1 - other.k1), initial=0.0)) / self.C
+        d0 = abs(self.k0 - other.k0)
+        out = max(d0, d1)
+        if self.k2 is not None and other.k2 is not None:
+            out = max(out, float(np.max(np.abs(self.k2 - other.k2), initial=0.0)) / self.C ** 2)
+        return out
+
+
+@dataclass(frozen=True)
+class QuasiObservable:
+    """Finite-support test vector (orders 0..2) with the weighted L1 norm."""
+
+    grid: Grid
+    C: float
+    g0: float
+    g1: np.ndarray
+    g2: np.ndarray
+
+    def __post_init__(self):
+        n = self.grid.node_count
+        object.__setattr__(self, "g1", np.asarray(self.g1, dtype=float).reshape(n))
+        object.__setattr__(self, "g2", np.asarray(self.g2, dtype=float).reshape(n, n))
+
+    def l1_norm(self) -> float:
+        w = self.grid.weight
+        return (abs(self.g0)
+                + self.C * w * float(np.sum(np.abs(self.g1)))
+                + 0.5 * (self.C * w) ** 2 * float(np.sum(np.abs(self.g2))))
+
+
+def dual_pairing(G: QuasiObservable, k: CorrelationVector) -> float:
+    """Discrete duality pairing sum_n (1/n!) w^n <G^(n), k^(n)>."""
+    w = G.grid.weight
+    out = G.g0 * k.k0 + w * float(G.g1 @ k.k1)
+    k2f = k.k2_full()
+    if k2f is not None:
+        out += 0.5 * w * w * float(np.sum(G.g2 * k2f))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# dual generator and Kirkwood-Salzburg operator on kernel tables
+
+
+def _exp_series(x: np.ndarray, j_lo: int, j_hi: int, shift: int = 0) -> np.ndarray:
+    """sum_{j=j_lo}^{j_hi} x^(j - shift) / j!  (elementwise, j_hi < j_lo -> 0)."""
+    out = np.zeros_like(x)
+    for j in range(j_lo, j_hi + 1):
+        out += x ** (j - shift) / math.factorial(j)
+    return out
+
+
+def _k2_effective(k: CorrelationVector, closure: str) -> np.ndarray:
+    if k.order >= 2:
+        return k.k2_full()
+    if closure == "poisson":
+        return np.outer(k.k1, k.k1)
+    return np.zeros((len(k.k1), len(k.k1)))
+
+
+def _require_closure(cfg: HierarchyConfig) -> None:
+    # any nonzero kernel order couples the top represented order to the one
+    # above it, so a closure rule is mandatory unless the integrals are cut
+    # at the empty kernel order
+    if cfg.closure == "none" and cfg.zeta_max >= 1:
+        raise TruncationError(
+            "the operator needs correlation orders beyond the truncation "
+            f"(zeta_max = {cfg.zeta_max}); enable the 'zero' or 'poisson' closure")
+
+
+def _order1_parts(t: KernelTables, k: CorrelationVector, cfg: HierarchyConfig, w: float):
+    """Death (excluding the diagonal kernel term) and birth sums at singletons.
+
+    Returns (death_tail, birth_total) with the convention that the full
+    dual-generator singleton component is -D1 * k1 - death_tail + birth_total.
+    """
+    k2e = _k2_effective(k, cfg.closure)
+    z = cfg.zeta_max
+    if t.structure == "support_one":
+        death_tail = w * np.sum(t.Ad * k2e, axis=1) if z >= 1 else np.zeros_like(k.k1)
+        birth = k.k0 * t.B1
+        if z >= 1:
+            birth = birth + w * (t.Ab @ k.k1)
+        return death_tail, birth
+
+    cd1 = w * (t.Gd @ k.k1)
+    cb1 = w * (t.Gb @ k.k1)
+    rd2 = w * np.sum(t.Gd * k2e, axis=1)
+    # death: kernel order j >= 1 needs k^(1+j); exact at j = 1, closure above
+    j_hi_d = z if cfg.closure == "poisson" else min(z, 1)
+    death_tail = t.D1 * rd2 * _exp_series(cd1, 1, j_hi_d, shift=1)
+    # birth: j = 0, 1 from k0, k1; j = 2 exact via k2; j > 2 by closure
+    birth = k.k0 * t.B1
+    if z >= 1:
+        birth = birth + t.B1 * cb1
+    j_hi_b = z if cfg.closure == "poisson" else min(z, 2)
+    if j_hi_b >= 2:
+        qb2 = w * w * np.einsum("ij,jl,il->i", t.Gb, k2e, t.Gb)
+        birth = birth + t.B1 * qb2 * _exp_series(cb1, 2, j_hi_b, shift=2)
+    return death_tail, birth
+
+
+def _order2_parts(t: KernelTables, k: CorrelationVector, cfg: HierarchyConfig, w: float):
+    """Death (excluding the diagonal term) and birth matrices at pairs,
+    already symmetrized over which point of the pair plays the active role."""
+    k2e = _k2_effective(k, cfg.closure)
+    z = cfg.zeta_max
+    if t.structure == "support_one":
+        if cfg.closure == "poisson" and z >= 1:
+            cd1a = w * (t.Ad @ k.k1)
+            death_tail = k2e * (cd1a[:, None] + cd1a[None, :])
+        else:
+            death_tail = np.zeros_like(k2e)
+        bterm = t.B2 * k.k1[None, :]
+        if z >= 1:
+            bterm = bterm + w * (t.Ab @ k2e)
+        return death_tail, bterm + bterm.T
+
+    cd1 = w * (t.Gd @ k.k1)
+    cb1 = w * (t.Gb @ k.k1)
+    # death: every kernel order j >= 1 exceeds the truncation, so closure only
+    j_hi_d = z if cfg.closure == "poisson" else 0
+    a = t.D2 * _exp_series(cd1, 1, j_hi_d)[:, None] if j_hi_d >= 1 else np.zeros_like(t.D2)
+    death_tail = k2e * (a + a.T)
+    # birth: j = 1 exact via k2, higher orders by closure
+    j_hi_b = z if cfg.closure == "poisson" else min(z, 1)
+    bterm = t.B2 * k.k1[None, :]
+    if j_hi_b >= 1:
+        crb = w * (t.Gb @ k2e)
+        bterm = bterm + t.B2 * crb * _exp_series(cb1, 1, j_hi_b, shift=1)[:, None]
+    return death_tail, bterm + bterm.T
+
+
+def _pack_like(k: CorrelationVector, out1: np.ndarray,
+               out2: Optional[np.ndarray], k0: float = 0.0) -> CorrelationVector:
+    if out2 is not None and k.homogeneous:
+        out2 = out2[0, :].copy()
+    return replace(k, k0=k0, k1=out1, k2=out2)
+
+
+def _apply_tables(t: KernelTables, k: CorrelationVector, cfg: HierarchyConfig) -> CorrelationVector:
+    _require_closure(cfg)
+    w = k.grid.weight
+    death_tail1, birth1 = _order1_parts(t, k, cfg, w)
+    out1 = -t.D1 * k.k1 - death_tail1 + birth1
+    out2 = None
+    if k.order >= 2:
+        death_tail2, birth2 = _order2_parts(t, k, cfg, w)
+        diag = t.D2 + t.D2.T
+        out2 = -k.k2_full() * diag - death_tail2 + birth2
+    return _pack_like(k, out1, out2, k0=0.0)
+
+
+def apply_dual_generator(model: RateModel, k: CorrelationVector,
+                         cfg: HierarchyConfig = HierarchyConfig()) -> CorrelationVector:
+    """Apply the dual generator of the (eps-renormalized) dynamics to k.
+
+    The empty-configuration component of the result is always zero, so k0
+    is conserved by the induced flow.
+    """
+    tables = model.hierarchy_tables(k.grid, cfg.eps)
+    return _apply_tables(tables, k, cfg)
+
+
+def _ks_tables(t: KernelTables, k: CorrelationVector, cfg: HierarchyConfig,
+               model_name: str) -> CorrelationVector:
+    _require_closure(cfg)
+    w = k.grid.weight
+    if np.min(t.D1) <= 0.0:
+        raise ConditionError(
+            f"model {model_name} has vanishing death rate at the empty "
+            "configuration; the Kirkwood-Salzburg operator requires d(x, {}) > 0")
+    death_tail1, birth1 = _order1_parts(t, k, cfg, w)
+    out1 = (-death_tail1 + birth1) / t.D1
+    out2 = None
+    if k.order >= 2:
+        denom = t.D2 + t.D2.T
+        if np.min(denom) <= 0.0:
+            raise ConditionError(f"model {model_name} has vanishing total death rate on a pair")
+        death_tail2, birth2 = _order2_parts(t, k, cfg, w)
+        out2 = (-death_tail2 + birth2) / denom
+    return _pack_like(k, out1, out2, k0=0.0)
+
+
+def ks_operator(model: RateModel, k: CorrelationVector,
+                cfg: HierarchyConfig = HierarchyConfig()) -> CorrelationVector:
+    """Generalized Kirkwood-Salzburg operator S.
+
+    Differs from the dual generator by dropping the empty kernel order in
+    the death part and dividing by the total death rate of the argument
+    configuration; S vanishes at the empty configuration.  Always uses the
+    unscaled (eps = 1) kernels.
+    """
+    tables = model.hierarchy_tables(k.grid, eps=1.0)
+    return _ks_tables(tables, k, cfg, model.name)
+
+
+@dataclass(frozen=True)
+class StationaryResult:
+    k_inv: CorrelationVector
+    iterations: int
+    q: float
+    certificate: float       # geometric-series bound q^n ||E|| / (1 - q)
+    residual: float          # || S k~ + E - k~ || at the returned iterate
+    report: object
+
+
+def stationary_solve(model: RateModel, grid: Grid, C: float,
+                     cfg: Optional[HierarchyConfig] = None,
+                     tol: float = 1e-10, max_iter: int = 1000,
+                     homogeneous: bool = True) -> StationaryResult:
+    """Solve the stationary hierarchy equation by contraction iteration.
+
+    Iterates k~ <- S k~ + E from zero, where E carries the newborn-density
+    ratio b(x, {}) / d(x, {}) at singletons, and returns the vacuum plus
+    the fixed point together with the geometric-series error certificate.
+    Requires the stationary condition a1 + a2/C < 2; refuses to iterate
+    otherwise.
+    """
+    if cfg is None:
+        cfg = HierarchyConfig(eps=1.0)
+    report = check_conditions(model, C, grid, scan_best_C=False)
+    q = report.contraction_q
+    if not report.bound_2 or q >= 1.0:
+        raise ConditionError(
+            f"contraction factor q = {q:.4f} >= 1 (a1 + a2/C = {report.sum_a:.4f}); "
+            "the stationary iteration requires a1 + a2/C < 2")
+
+    tables = model.hierarchy_tables(grid, eps=1.0)
+    if np.min(tables.D1) <= 0.0:
+        raise ConditionError("stationary solve requires d(x, {}) > 0 everywhere")
+
+    # the defect source E lives on singletons only: b(x, {}) / d(x, {})
+    e1 = tables.B1 / tables.D1
+    e_norm = float(np.max(np.abs(e1), initial=0.0)) / C
+
+    threshold = tol * (1.0 - q) / q if q > 0 else tol
+    k = CorrelationVector.zero(grid, C, order=2, homogeneous=homogeneous)
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        nxt = _ks_tables(tables, k, cfg, model.name)
+        nxt = replace(nxt, k1=nxt.k1 + e1)
+        inc = nxt.diff_norm(k)
+        k = nxt
+        if inc <= threshold:
+            break
+    else:
+        raise ConditionError(f"stationary iteration did not converge in {max_iter} steps")
+
+    resid_vec = _ks_tables(tables, k, cfg, model.name)
+    residual = max(
+        float(np.max(np.abs(resid_vec.k1 + e1 - k.k1), initial=0.0)) / C,
+        float(np.max(np.abs(resid_vec.k2 - k.k2), initial=0.0)) / C ** 2
+        if k.k2 is not None else 0.0)
+    certificate = q ** iterations * e_norm / (1.0 - q) if q > 0 else 0.0
+
+    k_inv = replace(k, k0=1.0)
+    return StationaryResult(k_inv=k_inv, iterations=iterations, q=q,
+                            certificate=certificate, residual=residual, report=report)
+
+
+@dataclass(frozen=True)
+class EvolveResult:
+    times: List[float]
+    snapshots: List[CorrelationVector]
+    norms: List[float]
+    dt: float
+
+    def final(self) -> CorrelationVector:
+        return self.snapshots[-1]
+
+
+def stability_bound(model: RateModel, grid: Grid, order: int = 2,
+                    eps: float = 1.0) -> float:
+    """Explicit-stepper guard 1 / (2 sup D) over represented configurations."""
+    t = model.hierarchy_tables(grid, eps)
+    sup_d = float(np.max(t.D1))
+    if order >= 2:
+        sup_d = max(sup_d, float(np.max(t.D2 + t.D2.T)))
+    return 1.0 / (2.0 * sup_d) if sup_d > 0 else math.inf
+
+
+def evolve(model: RateModel, k0: CorrelationVector, T: float,
+           dt: Optional[float] = None,
+           cfg: HierarchyConfig = HierarchyConfig(),
+           snapshot_times: Optional[Sequence[float]] = None,
+           norm_guard: float = 10.0,
+           check: bool = True) -> EvolveResult:
+    """Integrate the truncated hierarchy ODE with classical RK4.
+
+    dt defaults to half the stability guard; an explicit dt above the
+    guard raises.  The Ruelle norm is tracked per step and the run aborts
+    when it exceeds `norm_guard` times the initial norm (a symptom of
+    violated conditions or too large a step).
+    """
+    if T < 0:
+        raise ValueError("T must be >= 0")
+    grid = k0.grid
+    bound = stability_bound(model, grid, k0.order, cfg.eps)
+    if dt is None:
+        dt = 0.5 * bound if T > 0 else bound
+        dt = min(dt, T) if T > 0 else dt
+    if dt > bound * (1.0 + 1e-12):
+        raise StabilityError(f"dt = {dt} exceeds the stability guard {bound}")
+
+    if check:
+        try:
+            report = check_conditions(model, max(k0.C, 1.0 + 1e-9), grid, scan_best_C=False)
+            if not report.bound_3_2:
+                warnings.warn(
+                    f"conditions do not certify the evolution: a1 + a2/C = {report.sum_a:.4f} >= 3/2",
+                    RuntimeWarning)
+        except TypeError:
+            pass
+
+    tables = model.hierarchy_tables(grid, cfg.eps)
+
+    if T == 0:
+        return EvolveResult([0.0], [k0], [k0.ruelle_norm()], dt)
+
+    n_steps = max(1, math.ceil(T / dt - 1e-12))
+    dt = T / n_steps
+
+    if snapshot_times is None:
+        snap_steps = {n_steps}
+    else:
+        snap_steps = {int(round(t / dt)) for t in snapshot_times}
+
+    times, snaps, norms = [], [], []
+    k = k0
+    norm0 = max(k0.ruelle_norm(), 1e-300)
+    if 0 in snap_steps:
+        times.append(0.0)
+        snaps.append(k0)
+        norms.append(k0.ruelle_norm())
+    for step_i in range(1, n_steps + 1):
+        f1 = _apply_tables(tables, k, cfg)
+        f2 = _apply_tables(tables, k._lin([(0.5 * dt, f1)]), cfg)
+        f3 = _apply_tables(tables, k._lin([(0.5 * dt, f2)]), cfg)
+        f4 = _apply_tables(tables, k._lin([(dt, f3)]), cfg)
+        k = k._lin([(dt / 6.0, f1), (dt / 3.0, f2), (dt / 3.0, f3), (dt / 6.0, f4)])
+        norm = k.ruelle_norm()
+        if not np.isfinite(norm) or norm > norm_guard * norm0:
+            raise BlowUpError(
+                f"hierarchy norm {norm:.3e} exceeded {norm_guard} x initial at t = {step_i * dt:.4f}; "
+                "check the sufficient conditions or reduce dt")
+        if step_i in snap_steps:
+            times.append(step_i * dt)
+            snaps.append(k)
+            norms.append(norm)
+    if not times or times[-1] < T - 1e-12:
+        times.append(n_steps * dt)
+        snaps.append(k)
+        norms.append(k.ruelle_norm())
+    return EvolveResult(times, snaps, norms, dt)
+
+
+# ---------------------------------------------------------------------------
+# forward operator on quasi-observables (duality test partner)
+
+
+def apply_forward_generator(model: RateModel, G: QuasiObservable,
+                            eps: float = 1.0) -> QuasiObservable:
+    """Apply the forward hierarchy operator to a finite-support test vector.
+
+    Implements the subset-sum expression of the transformed generator:
+    a signed sum over subconfigurations weighted by the death kernels plus
+    a birth integral over the grid, evaluated on all configurations of
+    order up to two.  Together with :func:`dual_pairing` this provides the
+    adjointness check against :func:`apply_dual_generator`.
+    """
+    grid = G.grid
+    t = model.hierarchy_tables(grid, eps)
+    w = grid.weight
+    g1, g2 = G.g1, G.g2
+
+    if t.structure == "separable":
+        kb1 = t.B1[:, None] * t.Gb          # birth kernel at a singleton
+        kd1 = t.D1[:, None] * t.Gd          # death kernel at a singleton
+    else:
+        kb1 = t.Ab
+        kd1 = t.Ad
+
+    out0 = w * float(g1 @ t.B1)
+
+    out1 = (-g1 * t.D1
+            + w * (g1 @ kb1)
+            + w * np.einsum("ga,ga->a", g2, t.B2))
+
+    dterm = g1[:, None] * kd1
+    death2 = -(dterm + dterm.T) - g2 * (t.D2 + t.D2.T)
+    if t.structure == "separable":
+        birth_pair = w * np.einsum("ga,ga,gb->ab", g2, t.B2, t.Gb)
+        birth_empty = w * np.einsum("g,ga,gb->ab", g1 * t.B1, t.Gb, t.Gb)
+    else:
+        birth_pair = w * np.einsum("ga,gb->ab", g2, t.Ab)
+        birth_empty = np.zeros_like(g2)
+    out2 = death2 + birth_pair + birth_pair.T + birth_empty
+
+    return QuasiObservable(grid, G.C, out0, out1, out2)
