@@ -12,20 +12,32 @@ order, and values of the correlation vector beyond the truncation order
 are supplied by a closure rule: `zero` drops them, `poisson` peels excess
 points into density factors (exact on coherent vectors, i.e. on
 Poisson-factorized states).
+
+The operators run in one of two layouts, chosen by the state.  A general
+state holds an (N, N) pair table and every kernel integral is a dense
+matrix product.  A homogeneous (translation-invariant) state has a
+constant density and a pair function of the node offset; every kernel
+table is a radial function of the offset too, so all tables involved are
+circulant and each is carried by its row 0, a length-N offset profile.
+Kernel compositions then become periodic convolutions by FFT, row sums
+become dot products and transposition becomes the offset reversal
+o -> -o, so one application costs O(N log N) and holds only length-N
+rows.  The dense layout is the reference the homogeneous one is tested
+against.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .conditions import check_conditions
 from .errors import BlowUpError, ConditionError, StabilityError, TruncationError
 from .models import KernelTables, RateModel
-from .space import Grid
+from .space import Grid, circular_convolve
 
 __all__ = [
     "CorrelationVector", "QuasiObservable", "HierarchyConfig",
@@ -66,7 +78,9 @@ class CorrelationVector:
     states, zero for defect vectors), k1 the density on the grid, and k2
     the pair function: either a full symmetric (N, N) table, or, in
     homogeneous (translation-invariant) mode, a length-N function of the
-    node offset.  Homogeneous mode expects a constant k1.
+    node offset.  Homogeneous mode requires a constant k1 (a ValueError
+    otherwise); the hierarchy operators then work on circulant offset
+    profiles, hold only length-N rows and cost O(N log N) per application.
     """
 
     grid: Grid
@@ -81,6 +95,8 @@ class CorrelationVector:
             raise ValueError("Ruelle weight C must be positive")
         n = self.grid.node_count
         object.__setattr__(self, "k1", np.asarray(self.k1, dtype=float).reshape(n))
+        if self.homogeneous and not np.all(self.k1 == self.k1[0]):
+            raise ValueError("a homogeneous correlation vector needs a constant density k1")
         if self.k2 is not None:
             k2 = np.asarray(self.k2, dtype=float)
             k2 = k2.reshape(n) if self.homogeneous else k2.reshape(n, n)
@@ -199,12 +215,67 @@ def _exp_series(x: np.ndarray, j_lo: int, j_hi: int, shift: int = 0) -> np.ndarr
     return out
 
 
-def _k2_effective(k: CorrelationVector, closure: str) -> np.ndarray:
+class _DenseLayout:
+    """Operands as stored: (N, N) tables indexed by node pairs."""
+
+    def __init__(self, grid: Grid):
+        self.rows = grid.node_count
+        self.w = grid.weight
+
+    def wmatmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Quadrature of a kernel composition, w * (a @ b)."""
+        return self.w * (a @ b)
+
+    def transpose(self, a: np.ndarray) -> np.ndarray:
+        return a.T
+
+
+class _CirculantLayout:
+    """Operands of a homogeneous state, each carried by its row 0.
+
+    A table with A[i, j] = a[offset(i, j)] is circulant and its row 0 is
+    the offset profile a; a constant vector is carried by its entry 0.
+    Elementwise products, row sums, broadcasts and products A[:1] @ k1 with
+    the full-length density keep this form, so the dense formulas apply
+    unchanged to the (1, N) and (1,) slices; only
+    compositions (periodic convolutions) and transposition (the offset
+    reversal o -> -o) differ.
+    """
+
+    rows = 1
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.w = grid.weight
+
+    def wmatmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return circular_convolve(self.grid, a, b)[None, :]
+
+    def transpose(self, a: np.ndarray) -> np.ndarray:
+        return a[:, self.grid.negated_offset]
+
+
+_Layout = Union[_DenseLayout, _CirculantLayout]
+
+
+def _operands(t: KernelTables, k: CorrelationVector,
+              closure: str) -> Tuple[_Layout, KernelTables, np.ndarray]:
+    """Layout, the tables restricted to its rows, and the pair table of k,
+    with the closure standing in for it at order one."""
+    if k.homogeneous:
+        lay = _CirculantLayout(k.grid)
+        t = replace(t, **{f.name: getattr(t, f.name)[:1] for f in fields(t)
+                          if isinstance(getattr(t, f.name), np.ndarray)})
+    else:
+        lay = _DenseLayout(k.grid)
+    n = k.grid.node_count
     if k.order >= 2:
-        return k.k2_full()
-    if closure == "poisson":
-        return np.outer(k.k1, k.k1)
-    return np.zeros((len(k.k1), len(k.k1)))
+        k2e = k.k2.reshape(lay.rows, n)
+    elif closure == "poisson":
+        k2e = np.outer(k.k1[:lay.rows], k.k1)
+    else:
+        k2e = np.zeros((lay.rows, n))
+    return lay, t, k2e
 
 
 def _require_closure(cfg: HierarchyConfig) -> None:
@@ -217,16 +288,17 @@ def _require_closure(cfg: HierarchyConfig) -> None:
             f"(zeta_max = {cfg.zeta_max}); enable the 'zero' or 'poisson' closure")
 
 
-def _order1_parts(t: KernelTables, k: CorrelationVector, cfg: HierarchyConfig, w: float):
+def _order1_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.ndarray,
+                  cfg: HierarchyConfig):
     """Death (excluding the diagonal kernel term) and birth sums at singletons.
 
     Returns (death_tail, birth_total) with the convention that the full
     dual-generator singleton component is -D1 * k1 - death_tail + birth_total.
     """
-    k2e = _k2_effective(k, cfg.closure)
+    w = lay.w
     z = cfg.zeta_max
     if t.structure == "support_one":
-        death_tail = w * np.sum(t.Ad * k2e, axis=1) if z >= 1 else np.zeros_like(k.k1)
+        death_tail = w * np.sum(t.Ad * k2e, axis=1) if z >= 1 else np.zeros(lay.rows)
         birth = k.k0 * t.B1
         if z >= 1:
             birth = birth + w * (t.Ab @ k.k1)
@@ -244,15 +316,17 @@ def _order1_parts(t: KernelTables, k: CorrelationVector, cfg: HierarchyConfig, w
         birth = birth + t.B1 * cb1
     j_hi_b = z if cfg.closure == "poisson" else min(z, 2)
     if j_hi_b >= 2:
-        qb2 = w * w * np.einsum("ij,jl,il->i", t.Gb, k2e, t.Gb)
+        # sum_{j,l} Gb[i,j] k2[j,l] Gb[i,l]: one product, then row-wise dots
+        qb2 = w * np.sum(lay.wmatmul(t.Gb, k2e) * t.Gb, axis=1)
         birth = birth + t.B1 * qb2 * _exp_series(cb1, 2, j_hi_b, shift=2)
     return death_tail, birth
 
 
-def _order2_parts(t: KernelTables, k: CorrelationVector, cfg: HierarchyConfig, w: float):
+def _order2_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.ndarray,
+                  cfg: HierarchyConfig):
     """Death (excluding the diagonal term) and birth matrices at pairs,
     already symmetrized over which point of the pair plays the active role."""
-    k2e = _k2_effective(k, cfg.closure)
+    w = lay.w
     z = cfg.zeta_max
     if t.structure == "support_one":
         if cfg.closure == "poisson" and z >= 1:
@@ -262,42 +336,45 @@ def _order2_parts(t: KernelTables, k: CorrelationVector, cfg: HierarchyConfig, w
             death_tail = np.zeros_like(k2e)
         bterm = t.B2 * k.k1[None, :]
         if z >= 1:
-            bterm = bterm + w * (t.Ab @ k2e)
-        return death_tail, bterm + bterm.T
+            bterm = bterm + lay.wmatmul(t.Ab, k2e)
+        return death_tail, bterm + lay.transpose(bterm)
 
     cd1 = w * (t.Gd @ k.k1)
     cb1 = w * (t.Gb @ k.k1)
     # death: every kernel order j >= 1 exceeds the truncation, so closure only
     j_hi_d = z if cfg.closure == "poisson" else 0
     a = t.D2 * _exp_series(cd1, 1, j_hi_d)[:, None] if j_hi_d >= 1 else np.zeros_like(t.D2)
-    death_tail = k2e * (a + a.T)
+    death_tail = k2e * (a + lay.transpose(a))
     # birth: j = 1 exact via k2, higher orders by closure
     j_hi_b = z if cfg.closure == "poisson" else min(z, 1)
     bterm = t.B2 * k.k1[None, :]
     if j_hi_b >= 1:
-        crb = w * (t.Gb @ k2e)
+        crb = lay.wmatmul(t.Gb, k2e)
         bterm = bterm + t.B2 * crb * _exp_series(cb1, 1, j_hi_b, shift=1)[:, None]
-    return death_tail, bterm + bterm.T
+    return death_tail, bterm + lay.transpose(bterm)
 
 
 def _pack_like(k: CorrelationVector, out1: np.ndarray,
-               out2: Optional[np.ndarray], k0: float = 0.0) -> CorrelationVector:
-    if out2 is not None and k.homogeneous:
-        out2 = out2[0, :].copy()
-    return replace(k, k0=k0, k1=out1, k2=out2)
+               out2: Optional[np.ndarray]) -> CorrelationVector:
+    """Results in the stored form of k, with k0 = 0: a homogeneous density
+    is constant and its pair function is the row-0 profile."""
+    if k.homogeneous:
+        out1 = np.full(k.grid.node_count, out1[0])
+        out2 = None if out2 is None else out2[0]
+    return replace(k, k0=0.0, k1=out1, k2=out2)
 
 
 def _apply_tables(t: KernelTables, k: CorrelationVector, cfg: HierarchyConfig) -> CorrelationVector:
     _require_closure(cfg)
-    w = k.grid.weight
-    death_tail1, birth1 = _order1_parts(t, k, cfg, w)
-    out1 = -t.D1 * k.k1 - death_tail1 + birth1
+    lay, t, k2e = _operands(t, k, cfg.closure)
+    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, cfg)
+    out1 = -t.D1 * k.k1[:lay.rows] - death_tail1 + birth1
     out2 = None
     if k.order >= 2:
-        death_tail2, birth2 = _order2_parts(t, k, cfg, w)
-        diag = t.D2 + t.D2.T
-        out2 = -k.k2_full() * diag - death_tail2 + birth2
-    return _pack_like(k, out1, out2, k0=0.0)
+        death_tail2, birth2 = _order2_parts(t, lay, k, k2e, cfg)
+        diag = t.D2 + lay.transpose(t.D2)
+        out2 = -k2e * diag - death_tail2 + birth2
+    return _pack_like(k, out1, out2)
 
 
 def apply_dual_generator(model: RateModel, k: CorrelationVector,
@@ -314,21 +391,23 @@ def apply_dual_generator(model: RateModel, k: CorrelationVector,
 def _ks_tables(t: KernelTables, k: CorrelationVector, cfg: HierarchyConfig,
                model_name: str) -> CorrelationVector:
     _require_closure(cfg)
-    w = k.grid.weight
     if np.min(t.D1) <= 0.0:
         raise ConditionError(
             f"model {model_name} has vanishing death rate at the empty "
             "configuration; the Kirkwood-Salzburg operator requires d(x, {}) > 0")
-    death_tail1, birth1 = _order1_parts(t, k, cfg, w)
+    lay, t, k2e = _operands(t, k, cfg.closure)
+    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, cfg)
     out1 = (-death_tail1 + birth1) / t.D1
     out2 = None
     if k.order >= 2:
-        denom = t.D2 + t.D2.T
+        # a circulant profile holds every entry of its table, so the
+        # minimum over the profile is the minimum over all pairs
+        denom = t.D2 + lay.transpose(t.D2)
         if np.min(denom) <= 0.0:
             raise ConditionError(f"model {model_name} has vanishing total death rate on a pair")
-        death_tail2, birth2 = _order2_parts(t, k, cfg, w)
+        death_tail2, birth2 = _order2_parts(t, lay, k, k2e, cfg)
         out2 = (-death_tail2 + birth2) / denom
-    return _pack_like(k, out1, out2, k0=0.0)
+    return _pack_like(k, out1, out2)
 
 
 def ks_operator(model: RateModel, k: CorrelationVector,
@@ -422,7 +501,10 @@ class EvolveResult:
 def stability_bound(model: RateModel, grid: Grid, order: int = 2,
                     eps: float = 1.0) -> float:
     """Explicit-stepper guard 1 / (2 sup D) over represented configurations."""
-    t = model.hierarchy_tables(grid, eps)
+    return _stability_guard(model.hierarchy_tables(grid, eps), order)
+
+
+def _stability_guard(t: KernelTables, order: int) -> float:
     sup_d = float(np.max(t.D1))
     if order >= 2:
         sup_d = max(sup_d, float(np.max(t.D2 + t.D2.T)))
@@ -445,7 +527,8 @@ def evolve(model: RateModel, k0: CorrelationVector, T: float,
     if T < 0:
         raise ValueError("T must be >= 0")
     grid = k0.grid
-    bound = stability_bound(model, grid, k0.order, cfg.eps)
+    tables = model.hierarchy_tables(grid, cfg.eps)
+    bound = _stability_guard(tables, k0.order)
     if dt is None:
         dt = 0.5 * bound if T > 0 else bound
         dt = min(dt, T) if T > 0 else dt
@@ -453,16 +536,11 @@ def evolve(model: RateModel, k0: CorrelationVector, T: float,
         raise StabilityError(f"dt = {dt} exceeds the stability guard {bound}")
 
     if check:
-        try:
-            report = check_conditions(model, max(k0.C, 1.0 + 1e-9), grid, scan_best_C=False)
-            if not report.bound_3_2:
-                warnings.warn(
-                    f"conditions do not certify the evolution: a1 + a2/C = {report.sum_a:.4f} >= 3/2",
-                    RuntimeWarning)
-        except TypeError:
-            pass
-
-    tables = model.hierarchy_tables(grid, cfg.eps)
+        report = check_conditions(model, max(k0.C, 1.0 + 1e-9), grid, scan_best_C=False)
+        if not report.bound_3_2:
+            warnings.warn(
+                f"conditions do not certify the evolution: a1 + a2/C = {report.sum_a:.4f} >= 3/2",
+                RuntimeWarning)
 
     if T == 0:
         return EvolveResult([0.0], [k0], [k0.ruelle_norm()], dt)

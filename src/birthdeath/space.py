@@ -118,6 +118,16 @@ class Grid:
         table.setflags(write=False)
         return table
 
+    @cached_property
+    def negated_offset(self) -> np.ndarray:
+        """Flat index of the offset -o for each flat offset o (mod L per axis),
+        i.e. `offset_index[:, 0]` without the (N, N) table."""
+        neg = -np.arange(self.m) % self.m
+        flat = np.arange(self.node_count).reshape(self.shape)
+        table = flat[np.ix_(*[neg] * self.torus.dim)].ravel()
+        table.setflags(write=False)
+        return table
+
     def cell_index(self, points) -> np.ndarray:
         """Flat index of the grid cell [i*h, (i+1)*h) containing each point."""
         pts = self.torus.wrap(points).reshape(-1, self.torus.dim)

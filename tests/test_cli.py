@@ -176,6 +176,16 @@ class TestHierarchy:
         assert times == pytest.approx([0.25, 0.5])
         assert (tmp_path / "out" / "k2.csv").exists()
 
+    def test_homogeneous_flag_with_varying_density_is_config_error(self, tmp_path, capsys):
+        cfg = glauber_config(tmp_path / "out", M=16)
+        rho = (0.26 + 0.04 * np.cos(2 * np.pi * np.arange(16) / 16)).tolist()
+        cfg["run"] = {"T": 0.1, "dt": 0.05, "initial_density": rho, "homogeneous": True}
+        code = main(["--config", write_config(tmp_path / "c.json", cfg),
+                     "hierarchy", "evolve"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestVlasovCli:
     def test_rho_snapshots(self, tmp_path):

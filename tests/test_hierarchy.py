@@ -1,16 +1,19 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from birthdeath import (BDLPModel, BoxKernel, CorrelationVector, GlauberModel,
-                        HierarchyConfig, QuasiObservable, apply_dual_generator,
+from birthdeath import (BDLPModel, BoxKernel, CorrelationVector, GaussianKernel,
+                        GlauberModel, HierarchyConfig, KernelTables,
+                        QuasiObservable, apply_dual_generator,
                         apply_forward_generator, check_conditions,
                         detailed_balance_bdlp, dual_pairing, evolve, ks_operator,
                         normalize_on_grid, stationary_solve)
 from birthdeath.errors import (BlowUpError, ConditionError, StabilityError,
                                TruncationError)
-from birthdeath.hierarchy import stability_bound
+from birthdeath.hierarchy import _apply_tables, _ks_tables, stability_bound
 from birthdeath.space import Grid, Torus
 
 
@@ -39,6 +42,19 @@ def random_vector(rng, grid, C, homogeneous=False):
     return CorrelationVector(grid, C, rng.normal(), k1, k2, homogeneous=homogeneous)
 
 
+def oracle_models(torus):
+    """One model per kernel structure, with kernels reaching several nodes."""
+    return [GlauberModel(torus, s=0.5, z=0.3, phi=GaussianKernel(0.4, 0.15, 0.35)),
+            BDLPModel(torus, m=1.1, kappa_minus=0.25, kappa_plus=0.3,
+                      a_minus=GaussianKernel(1.0, 0.1, 0.3),
+                      a_plus=GaussianKernel(0.8, 0.15, 0.35), kappa=0.5)]
+
+
+def assert_close_to_dense(fast, dense, case):
+    scale = max(1.0, float(np.max(np.abs(dense))))
+    assert np.max(np.abs(fast - dense)) <= 1e-12 * scale, case
+
+
 class TestVectorBasics:
     def test_ruelle_norm(self, grid16):
         n = grid16.node_count
@@ -51,6 +67,12 @@ class TestVectorBasics:
         off = grid16.offset_index
         assert np.array_equal(full, k.k2[off])
         assert np.allclose(full, full.T)
+
+    def test_homogeneous_needs_constant_density(self, grid16):
+        n = grid16.node_count
+        with pytest.raises(ValueError, match="constant density"):
+            CorrelationVector(grid16, 1.5, 1.0, np.linspace(0.2, 0.3, n), np.zeros(n),
+                              homogeneous=True)
 
     def test_coherent_vector(self, grid16):
         rho = np.linspace(0.1, 0.5, grid16.node_count)
@@ -131,15 +153,65 @@ class TestDualGeneratorOracle:
                                    HierarchyConfig(zeta_max=0, closure="none"))
         assert np.all(np.isfinite(out.k1))
 
-    def test_homogeneous_matches_full(self, db_model, grid16, rng):
-        k_h = random_vector(rng, grid16, 1.5, homogeneous=True)
-        k_f = CorrelationVector(grid16, 1.5, k_h.k0, k_h.k1, k_h.k2_full())
-        for closure in ("zero", "poisson"):
-            cfg = HierarchyConfig(closure=closure)
-            out_h = apply_dual_generator(db_model, k_h, cfg)
-            out_f = apply_dual_generator(db_model, k_f, cfg)
-            assert np.allclose(out_h.k2_full(), out_f.k2, atol=1e-12)
-            assert np.allclose(out_h.k1, out_f.k1, atol=1e-12)
+    def test_homogeneous_matches_full(self, rng):
+        # the circulant layout of homogeneous states against the dense
+        # layout on the same vector, over the whole configuration space
+        cases = [(closure, z) for closure in ("zero", "poisson") for z in range(4)]
+        cases.append(("none", 0))
+        calls = [(apply_dual_generator, eps) for eps in (1.0, 0.3, 0.0)]
+        calls.append((ks_operator, 1.0))    # S always uses the eps = 1 kernels
+        for torus, m in ((Torus(1, 1.0), 16), (Torus(2, 1.0), 8)):
+            grid = Grid(torus, m)
+            for model in oracle_models(torus):
+                for order in (1, 2):
+                    k_h = random_vector(rng, grid, 1.5, homogeneous=True)
+                    if order == 1:
+                        k_h = replace(k_h, k2=None)
+                    k_f = replace(k_h, k2=k_h.k2_full(), homogeneous=False)
+                    for (closure, z), (op, eps) in itertools.product(cases, calls):
+                        cfg = HierarchyConfig(zeta_max=z, closure=closure, eps=eps)
+                        out_h, out_f = op(model, k_h, cfg), op(model, k_f, cfg)
+                        case = (torus.dim, model.name, order, closure, z, op.__name__, eps)
+                        assert out_h.k0 == out_f.k0
+                        assert_close_to_dense(out_h.k1, out_f.k1, case)
+                        if order == 2:
+                            assert_close_to_dense(out_h.k2_full(), out_f.k2, case)
+
+    def test_circulant_layout_on_asymmetric_tables(self, rng):
+        # any circulant tables, including non-symmetric ones and an uneven
+        # pair profile, so a wrong offset reversal shows
+        for torus, m in ((Torus(1, 1.0), 12), (Torus(2, 1.0), 6)):
+            grid = Grid(torus, m)
+            n = grid.node_count
+
+            def circ():
+                return rng.uniform(0.1, 1.0, n)[grid.offset_index]
+
+            base = dict(eps=1.0, D1=np.full(n, 1.2), D2=circ(), B1=np.full(n, 0.4), B2=circ())
+            for tables in (KernelTables("separable", Gd=circ(), Gb=circ(), **base),
+                           KernelTables("support_one", Ad=circ(), Ab=circ(), **base)):
+                k_h = CorrelationVector(grid, 1.5, rng.normal(), np.full(n, rng.normal()),
+                                        rng.normal(size=n), homogeneous=True)
+                k_f = replace(k_h, k2=k_h.k2_full(), homogeneous=False)
+                cfg = HierarchyConfig(zeta_max=3, closure="poisson")
+                for apply in (_apply_tables, lambda t, k, c: _ks_tables(t, k, c, "test")):
+                    out_h, out_f = apply(tables, k_h, cfg), apply(tables, k_f, cfg)
+                    case = (torus.dim, tables.structure)
+                    assert_close_to_dense(out_h.k1, out_f.k1, case)
+                    assert_close_to_dense(out_h.k2_full(), out_f.k2, case)
+
+    def test_dense_pair_contraction_matches_einsum_reference(self, rng):
+        # with the zero closure, raising zeta_max from 1 to 2 adds exactly the
+        # birth term B1 * qb2 / 2, qb2 = w^2 sum_{j,l} Gb[i,j] k2[j,l] Gb[i,l]
+        for torus, m in ((Torus(1, 1.0), 32), (Torus(2, 1.0), 8)):
+            grid = Grid(torus, m)
+            model = oracle_models(torus)[0]
+            k = random_vector(rng, grid, 1.5)
+            t = model.hierarchy_tables(grid)
+            qb2 = grid.weight ** 2 * np.einsum("ij,jl,il->i", t.Gb, k.k2, t.Gb)
+            hi = apply_dual_generator(model, k, HierarchyConfig(zeta_max=2, closure="zero"))
+            lo = apply_dual_generator(model, k, HierarchyConfig(zeta_max=1, closure="zero"))
+            assert_close_to_dense(hi.k1 - lo.k1, 0.5 * t.B1 * qb2, torus.dim)
 
 
 class TestDuality:

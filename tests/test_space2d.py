@@ -37,6 +37,9 @@ class TestGeometry:
             diff = grid2.torus.wrap(nodes[j] - nodes[i])
             k = off[i, j]
             assert np.allclose(nodes[k], diff)
+        assert np.array_equal(grid2.negated_offset, off[:, 0])
+        grid1 = Grid(Torus(1, 1.0), 16)
+        assert np.array_equal(grid1.negated_offset, grid1.offset_index[:, 0])
 
     def test_bilinear_interpolation(self, grid2):
         gf = grid2.sample(lambda p: 2.0 + p[:, 0] * 0.0)
