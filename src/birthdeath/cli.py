@@ -27,7 +27,7 @@ from .errors import (BirthDeathError, BlowUpError, ConditionError, ConfigError,
 from .hierarchy import CorrelationVector, HierarchyConfig, evolve, stationary_solve
 from .kernels import BoxKernel, GaussianKernel, normalize_on_grid
 from .models import BDLPModel, GlauberModel
-from .simulate import FixedInitial, PoissonInitial, run_ensemble
+from .simulate import REPLICA_SEEDING, FixedInitial, PoissonInitial, run_ensemble
 from .space import Grid, Torus
 from .vlasov import integrate as integrate_vlasov
 from .vlasov import scaling_compare
@@ -258,6 +258,7 @@ def cmd_simulate(cfg: dict, args) -> int:
         n_snap = int(run.get("snapshots", 1))
         burn = float(run.get("burn_in", 0.0))
         snaps = list(np.linspace(burn, T, n_snap)) if n_snap > 1 else [T]
+    ensemble_started = time.perf_counter()
     result = run_ensemble(model, initial, T, replicas, seed, grid,
                           snapshot_times=snaps,
                           burn_in=float(run.get("burn_in", 0.0)),
@@ -265,6 +266,10 @@ def cmd_simulate(cfg: dict, args) -> int:
                           scaled=bool(run.get("scaled", False)),
                           population_cap=int(run.get("population_cap", 100_000)),
                           threads=args.threads)
+    ensemble_s = time.perf_counter() - ensemble_started
+    totals = {key: sum(ev[key] for ev in result.events["per_replica"])
+              for key in ("proposals", "births", "rejections")}
+    offered = totals["births"] + totals["rejections"]
 
     out_dir = _out_dir(cfg, args)
     corr = result.correlations
@@ -278,8 +283,14 @@ def cmd_simulate(cfg: dict, args) -> int:
     write_csv(out_dir / "population.csv", ["time", "mean", "std_error"],
               [[result.snapshot_times[i], result.population_mean[i], result.population_se[i]]
                for i in range(len(result.snapshot_times))])
-    write_manifest(out_dir, cfg, "simulate", started,
-                   {"seed": seed, "replicas": replicas, "events": result.events})
+    write_manifest(out_dir, cfg, "simulate", started, {
+        "seed": seed, "replicas": replicas, "replica_seeding": REPLICA_SEEDING,
+        "events": result.events,
+        "run_ensemble_s": ensemble_s,
+        "proposals_per_s": totals["proposals"] / ensemble_s,
+        # births over accepted plus rejected birth proposals; null without any
+        "acceptance_ratio": totals["births"] / offered if offered else None,
+    })
     return 0
 
 

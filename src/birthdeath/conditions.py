@@ -45,8 +45,12 @@ class ConditionReport:
     def __post_init__(self):
         # internal consistency: the stronger bound implies the weaker one,
         # and the alpha window is nonempty exactly on the nu window
-        assert not self.bound_3_2 or self.bound_2
-        assert (self.alpha_window is not None) == self.nu_window
+        if self.bound_3_2 and not self.bound_2:
+            raise ValueError("inconsistent report: bound_3_2 holds but bound_2 does not")
+        if (self.alpha_window is not None) != self.nu_window:
+            raise ValueError(
+                f"inconsistent report: alpha_window {self.alpha_window} "
+                f"with nu_window {self.nu_window}")
 
     def as_dict(self) -> dict:
         out = {

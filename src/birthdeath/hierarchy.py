@@ -27,10 +27,11 @@ against.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -288,8 +289,14 @@ def _require_closure(cfg: HierarchyConfig) -> None:
             f"(zeta_max = {cfg.zeta_max}); enable the 'zero' or 'poisson' closure")
 
 
+def _gb_k2(t: KernelTables, lay: _Layout, k2e: np.ndarray) -> Callable[[], np.ndarray]:
+    """The composition w * (Gb @ k2), formed on first use and then reused:
+    both the singleton and the pair birth terms need it."""
+    return functools.cache(lambda: lay.wmatmul(t.Gb, k2e))
+
+
 def _order1_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.ndarray,
-                  cfg: HierarchyConfig):
+                  gb_k2: Callable[[], np.ndarray], cfg: HierarchyConfig):
     """Death (excluding the diagonal kernel term) and birth sums at singletons.
 
     Returns (death_tail, birth_total) with the convention that the full
@@ -317,13 +324,13 @@ def _order1_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.n
     j_hi_b = z if cfg.closure == "poisson" else min(z, 2)
     if j_hi_b >= 2:
         # sum_{j,l} Gb[i,j] k2[j,l] Gb[i,l]: one product, then row-wise dots
-        qb2 = w * np.sum(lay.wmatmul(t.Gb, k2e) * t.Gb, axis=1)
+        qb2 = w * np.sum(gb_k2() * t.Gb, axis=1)
         birth = birth + t.B1 * qb2 * _exp_series(cb1, 2, j_hi_b, shift=2)
     return death_tail, birth
 
 
 def _order2_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.ndarray,
-                  cfg: HierarchyConfig):
+                  gb_k2: Callable[[], np.ndarray], cfg: HierarchyConfig):
     """Death (excluding the diagonal term) and birth matrices at pairs,
     already symmetrized over which point of the pair plays the active role."""
     w = lay.w
@@ -349,8 +356,7 @@ def _order2_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.n
     j_hi_b = z if cfg.closure == "poisson" else min(z, 1)
     bterm = t.B2 * k.k1[None, :]
     if j_hi_b >= 1:
-        crb = lay.wmatmul(t.Gb, k2e)
-        bterm = bterm + t.B2 * crb * _exp_series(cb1, 1, j_hi_b, shift=1)[:, None]
+        bterm = bterm + t.B2 * gb_k2() * _exp_series(cb1, 1, j_hi_b, shift=1)[:, None]
     return death_tail, bterm + lay.transpose(bterm)
 
 
@@ -367,11 +373,12 @@ def _pack_like(k: CorrelationVector, out1: np.ndarray,
 def _apply_tables(t: KernelTables, k: CorrelationVector, cfg: HierarchyConfig) -> CorrelationVector:
     _require_closure(cfg)
     lay, t, k2e = _operands(t, k, cfg.closure)
-    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, cfg)
+    gb_k2 = _gb_k2(t, lay, k2e)
+    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, gb_k2, cfg)
     out1 = -t.D1 * k.k1[:lay.rows] - death_tail1 + birth1
     out2 = None
     if k.order >= 2:
-        death_tail2, birth2 = _order2_parts(t, lay, k, k2e, cfg)
+        death_tail2, birth2 = _order2_parts(t, lay, k, k2e, gb_k2, cfg)
         diag = t.D2 + lay.transpose(t.D2)
         out2 = -k2e * diag - death_tail2 + birth2
     return _pack_like(k, out1, out2)
@@ -396,7 +403,8 @@ def _ks_tables(t: KernelTables, k: CorrelationVector, cfg: HierarchyConfig,
             f"model {model_name} has vanishing death rate at the empty "
             "configuration; the Kirkwood-Salzburg operator requires d(x, {}) > 0")
     lay, t, k2e = _operands(t, k, cfg.closure)
-    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, cfg)
+    gb_k2 = _gb_k2(t, lay, k2e)
+    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, gb_k2, cfg)
     out1 = (-death_tail1 + birth1) / t.D1
     out2 = None
     if k.order >= 2:
@@ -405,7 +413,7 @@ def _ks_tables(t: KernelTables, k: CorrelationVector, cfg: HierarchyConfig,
         denom = t.D2 + lay.transpose(t.D2)
         if np.min(denom) <= 0.0:
             raise ConditionError(f"model {model_name} has vanishing total death rate on a pair")
-        death_tail2, birth2 = _order2_parts(t, lay, k, k2e, cfg)
+        death_tail2, birth2 = _order2_parts(t, lay, k, k2e, gb_k2, cfg)
         out2 = (-death_tail2 + birth2) / denom
     return _pack_like(k, out1, out2)
 

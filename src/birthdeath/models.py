@@ -5,7 +5,9 @@ nonnegative pair potential, and the plant-ecology competition model
 (constant-plus-competition death, dispersal birth) with an optional
 immigration term.  Each model carries closed forms for
 
-* the death and birth intensities d(x, xi), b(x, xi),
+* the death and birth intensities d(x, xi), b(x, xi); the death
+  intensity is a map of one pair sum over xi, which the event simulator
+  keeps current per point,
 * the inverse-transform kernels of the rates, renormalized by the
   mean-field scaling parameter eps (eps = 1 is the unscaled dynamics,
   eps = 0 the formal mean-field limit symbols),
@@ -72,6 +74,25 @@ class RateModel:
 
     def birth(self, x, xi, eps: float = 1.0) -> float:
         raise NotImplementedError
+
+    @property
+    def death_kernel(self) -> RadialKernel:
+        """The pair kernel k of the death rate: d(x, xi) depends on xi only
+        through the pair sum S = sum_{y in xi} k(|x - y|)."""
+        raise NotImplementedError
+
+    def death_rate_of_sum(self, sums, eps: float = 1.0):
+        """Death rate as a function of the pair sum S (elementwise)."""
+        raise NotImplementedError
+
+    def death_sums(self, points: np.ndarray) -> np.ndarray:
+        """S_i = sum_{j != i} k(|x_i - x_j|) for every row, from all pairs."""
+        pts = np.asarray(points, dtype=float).reshape(-1, self.torus.dim)
+        if len(pts) == 0:
+            return np.zeros(0)
+        k_m = self.death_kernel.radial(self.torus.distance(pts[:, None, :], pts[None, :, :]))
+        np.fill_diagonal(k_m, 0.0)
+        return k_m.sum(axis=1)
 
     def death_rates(self, points: np.ndarray, eps: float = 1.0) -> np.ndarray:
         """d(x_i, points minus x_i) for every row, vectorized."""
@@ -159,10 +180,17 @@ class GlauberModel(RateModel):
             return 0.0
         return float(np.sum(self.phi.value(self.torus, np.asarray(x) - pts)))
 
+    @property
+    def death_kernel(self) -> RadialKernel:
+        return self.phi
+
+    def death_rate_of_sum(self, sums, eps: float = 1.0):
+        return np.exp(eps * self.s * sums)
+
     def death(self, x, xi, eps: float = 1.0) -> float:
         pts = _as_points(xi, self.torus.dim)
         self._reject_member(x, pts)
-        return math.exp(eps * self.s * self._phi_sum(x, pts))
+        return float(self.death_rate_of_sum(self._phi_sum(x, pts), eps))
 
     def birth(self, x, xi, eps: float = 1.0) -> float:
         pts = _as_points(xi, self.torus.dim)
@@ -170,12 +198,7 @@ class GlauberModel(RateModel):
         return self.z * math.exp(eps * (self.s - 1.0) * self._phi_sum(x, pts))
 
     def death_rates(self, points: np.ndarray, eps: float = 1.0) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, self.torus.dim)
-        if len(pts) == 0:
-            return np.zeros(0)
-        phi_m = self.phi.radial(self.torus.distance(pts[:, None, :], pts[None, :, :]))
-        np.fill_diagonal(phi_m, 0.0)
-        return np.exp(eps * self.s * phi_m.sum(axis=1))
+        return self.death_rate_of_sum(self.death_sums(points), eps)
 
     def _g_death(self, phi_vals: np.ndarray, eps: float) -> np.ndarray:
         if eps == 0.0:
@@ -288,10 +311,17 @@ class BDLPModel(RateModel):
             return 0.0
         return float(np.sum(kernel.value(self.torus, np.asarray(x) - pts)))
 
+    @property
+    def death_kernel(self) -> RadialKernel:
+        return self.a_minus
+
+    def death_rate_of_sum(self, sums, eps: float = 1.0):
+        return self.m + eps * self.kappa_minus * sums
+
     def death(self, x, xi, eps: float = 1.0) -> float:
         pts = _as_points(xi, self.torus.dim)
         self._reject_member(x, pts)
-        return self.m + eps * self.kappa_minus * self._kernel_sum(self.a_minus, x, pts)
+        return self.death_rate_of_sum(self._kernel_sum(self.a_minus, x, pts), eps)
 
     def birth(self, x, xi, eps: float = 1.0) -> float:
         pts = _as_points(xi, self.torus.dim)
@@ -299,12 +329,7 @@ class BDLPModel(RateModel):
         return self.kappa + eps * self.kappa_plus * self._kernel_sum(self.a_plus, x, pts)
 
     def death_rates(self, points: np.ndarray, eps: float = 1.0) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, self.torus.dim)
-        if len(pts) == 0:
-            return np.zeros(0)
-        a_m = self.a_minus.radial(self.torus.distance(pts[:, None, :], pts[None, :, :]))
-        np.fill_diagonal(a_m, 0.0)
-        return self.m + eps * self.kappa_minus * a_m.sum(axis=1)
+        return self.death_rate_of_sum(self.death_sums(points), eps)
 
     def _k0inv(self, x, xi, eta, eps: float, kind: str) -> float:
         _check_eps(eps)

@@ -8,9 +8,17 @@ probability birth-rate over dominating intensity.  Rejected proposals
 advance time only, so the accepted process has exactly the law of the
 generator's jump dynamics on the torus.
 
-Replicas are independent, each driven by its own counter-seeded
-generator (seed XOR replica index), so ensembles are reproducible
-bit-for-bit and may run in parallel.
+One event kernel (`_Chain`) runs both :func:`step` and the replicas of
+:func:`run_ensemble`.  It keeps each point's death pair sum
+S_i = sum_{j != i} k(|x_i - x_j|) beside the points, so a proposal costs
+O(n) vectorised work: one kernel evaluation against the population on a
+birth or a death, plus the rate map, the cumulative sum and the copy of
+the point array.  Only the initial configuration costs O(n^2).
+
+Replicas are independent: replica r is driven by PCG64 seeded with the
+r-th child of ``numpy.random.SeedSequence(seed).spawn(replicas)``, so
+ensembles are reproducible bit-for-bit, may run in parallel, and
+ensembles with different seeds share no chain.
 """
 from __future__ import annotations
 
@@ -32,6 +40,8 @@ __all__ = [
 ]
 
 DEFAULT_POPULATION_CAP = 100_000
+#: how run_ensemble derives the generator of each replica from its seed
+REPLICA_SEEDING = "PCG64(SeedSequence(seed).spawn(replicas)[r])"
 
 
 @dataclass(frozen=True)
@@ -54,30 +64,69 @@ class SimulationState:
         return rng
 
 
-def _advance(points: np.ndarray, rng: np.random.Generator, model: RateModel,
-             eps: float, birth_scale: float, population_cap: int):
-    """One thinning proposal.  Returns (points, waiting_time, kind) with kind
-    in {"birth", "death", "rejected", "absorbed"}."""
-    d_vec = model.death_rates(points, eps)
-    d_tot = float(d_vec.sum())
-    b_bar = birth_scale * model.birth_total_bound(len(points), eps)
-    total = d_tot + b_bar
-    if total <= 0.0:
-        return points, math.inf, "absorbed"
-    wait = rng.exponential(1.0 / total)
-    if rng.uniform(0.0, total) < d_tot:
-        v = rng.uniform(0.0, d_tot)
-        idx = int(np.searchsorted(np.cumsum(d_vec), v, side="right"))
-        idx = min(idx, len(points) - 1)
-        return np.delete(points, idx, axis=0), wait, "death"
-    x, accept = model.propose_birth(rng, points, eps)
-    if rng.uniform() < accept:
-        if len(points) + 1 > population_cap:
-            raise SimulationAbort(
-                f"population cap {population_cap} exceeded; the parameters "
-                "likely violate the non-explosion conditions")
-        return np.vstack([points, model.torus.wrap(x).reshape(1, -1)]), wait, "birth"
-    return points, wait, "rejected"
+class _Chain:
+    """One chain's points, in event order, with their death pair sums.
+
+    `sums[i]` is sum_{j != i} k(|x_i - x_j|) for the model's death kernel
+    k, and the death rates are the model's map of `sums`.  A death deletes
+    row i and subtracts k(|x_i - x_j|) from the rest; a birth at x adds
+    k(|x - x_j|) and appends its sum.  A proposal is drawn in two steps,
+    `next_time` then `fire`, so that a caller can stop at a time horizon
+    between them with the generator exactly where the full loop leaves it.
+    """
+
+    def __init__(self, model: RateModel, points: np.ndarray, time: float, eps: float,
+                 birth_scale: float, population_cap: int):
+        self.model = model
+        self.points = points
+        self.sums = model.death_sums(points)
+        self.time = time
+        self.eps = eps
+        self.birth_scale = birth_scale
+        self.population_cap = population_cap
+
+    def _kernel_at(self, x: np.ndarray) -> np.ndarray:
+        torus = self.model.torus
+        return self.model.death_kernel.radial(torus.distance(x, self.points))
+
+    def rates(self) -> np.ndarray:
+        return self.model.death_rate_of_sum(self.sums, self.eps)
+
+    def next_time(self, rng: np.random.Generator) -> float:
+        """Time of the next proposal; inf, with no draw, on an absorbing
+        configuration (zero total rate)."""
+        self._rates = self.rates()
+        self._d_tot = float(self._rates.sum())
+        b_bar = self.birth_scale * self.model.birth_total_bound(len(self.points), self.eps)
+        self._total = self._d_tot + b_bar
+        if self._total <= 0.0:
+            return math.inf
+        return self.time + rng.exponential(1.0 / self._total)
+
+    def fire(self, rng: np.random.Generator, t: float) -> str:
+        """Move the clock to `t` from :meth:`next_time` and carry out that
+        proposal.  Returns "birth", "death" or "rejected"."""
+        self.time = t
+        if rng.uniform(0.0, self._total) < self._d_tot:
+            v = rng.uniform(0.0, self._d_tot)
+            idx = int(np.searchsorted(np.cumsum(self._rates), v, side="right"))
+            idx = min(idx, len(self.points) - 1)
+            x = self.points[idx]
+            self.points = np.delete(self.points, idx, axis=0)
+            self.sums = np.delete(self.sums, idx) - self._kernel_at(x)
+            return "death"
+        x, accept = self.model.propose_birth(rng, self.points, self.eps)
+        if rng.uniform() < accept:
+            if len(self.points) + 1 > self.population_cap:
+                raise SimulationAbort(
+                    f"population cap {self.population_cap} exceeded at t = {t:.4f}; "
+                    "the parameters likely violate the non-explosion conditions")
+            x = self.model.torus.wrap(x).reshape(1, -1)
+            k_x = self._kernel_at(x)
+            self.sums = np.append(self.sums + k_x, k_x.sum())
+            self.points = np.vstack([self.points, x])
+            return "birth"
+        return "rejected"
 
 
 def step(state: SimulationState, model: RateModel, eps: float = 1.0,
@@ -89,13 +138,13 @@ def step(state: SimulationState, model: RateModel, eps: float = 1.0,
     infinite time and the configuration unchanged.
     """
     rng = state.generator()
-    pts, wait, kind = _advance(state.configuration.points, rng, model, eps,
-                               birth_scale, population_cap)
+    chain = _Chain(model, state.configuration.points, state.time, eps, birth_scale,
+                   population_cap)
+    t = chain.next_time(rng)
+    kind = "absorbed" if math.isinf(t) else chain.fire(rng, t)
     cfg = state.configuration if kind in ("rejected", "absorbed") \
-        else FiniteConfiguration(pts, model.torus)
-    new_time = state.time + wait
-    return SimulationState(cfg, new_time, rng.bit_generator.state,
-                           state.event_count + 1)
+        else FiniteConfiguration(chain.points, model.torus)
+    return SimulationState(cfg, t, rng.bit_generator.state, state.event_count + 1)
 
 
 def step_scaled(state: SimulationState, model: RateModel, eps: float,
@@ -159,10 +208,13 @@ def _shell_measure(torus: Torus, r1: float, r2: float) -> float:
     return math.pi * (r2 * r2 - r1 * r1)
 
 
+_EVENT_COUNTER = {"birth": "births", "death": "deaths", "rejected": "rejections"}
+
+
 def _run_replica(args):
-    (model, initial, snap_times, seed, eps, birth_scale, population_cap,
+    (model, initial, snap_times, seed_seq, eps, birth_scale, population_cap,
      est_grid, pair_edges, burn_in) = args
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(seed_seq))
     torus = model.torus
     pts = initial.sample(rng, torus)
 
@@ -188,44 +240,17 @@ def _run_replica(args):
                 pair_counts[:] += 2.0 * hist  # ordered pairs
         used_snaps += 1
 
-    t = 0.0
+    chain = _Chain(model, pts, 0.0, eps, birth_scale, population_cap)
     i_snap = 0
     while i_snap < len(snap_times):
-        d_vec = model.death_rates(pts, eps)
-        d_tot = float(d_vec.sum())
-        b_bar = birth_scale * model.birth_total_bound(len(pts), eps)
-        total = d_tot + b_bar
-        if total <= 0.0:
-            while i_snap < len(snap_times):
-                record(i_snap, pts)
-                i_snap += 1
-            break
-        wait = rng.exponential(1.0 / total)
-        t_next = t + wait
+        t_next = chain.next_time(rng)
         while i_snap < len(snap_times) and snap_times[i_snap] <= t_next:
-            record(i_snap, pts)
+            record(i_snap, chain.points)
             i_snap += 1
         if i_snap >= len(snap_times):
             break
-        t = t_next
         events["proposals"] += 1
-        if rng.uniform(0.0, total) < d_tot:
-            v = rng.uniform(0.0, d_tot)
-            idx = int(np.searchsorted(np.cumsum(d_vec), v, side="right"))
-            idx = min(idx, len(pts) - 1)
-            pts = np.delete(pts, idx, axis=0)
-            events["deaths"] += 1
-        else:
-            x, accept = model.propose_birth(rng, pts, eps)
-            if rng.uniform() < accept:
-                if len(pts) + 1 > population_cap:
-                    raise SimulationAbort(
-                        f"population cap {population_cap} exceeded at t = {t:.4f} "
-                        f"(replica seed {seed})")
-                pts = np.vstack([pts, torus.wrap(x).reshape(1, -1)])
-                events["births"] += 1
-            else:
-                events["rejections"] += 1
+        events[_EVENT_COUNTER[chain.fire(rng, t_next)]] += 1
 
     return k1_counts, pair_counts, population, events, used_snaps
 
@@ -258,9 +283,9 @@ def run_ensemble(model: RateModel, initial, T: float, replicas: int, seed: int,
     birth_scale = 1.0 / eps if scaled else 1.0
     width = torus.length / (2.0 * estimator_grid.m)
     pair_edges = np.arange(0.0, torus.length / 2.0 + 0.5 * width, width)
-    args = [(model, initial, snap_times, seed ^ r, eps, birth_scale,
+    args = [(model, initial, snap_times, child, eps, birth_scale,
              population_cap, estimator_grid, pair_edges, burn_in)
-            for r in range(replicas)]
+            for child in np.random.SeedSequence(seed).spawn(replicas)]
 
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -112,6 +112,22 @@ class TestSimulate:
             assert (tmp_path / "out1" / name).read_bytes() == \
                 (tmp_path / "out2" / name).read_bytes()
 
+    def test_manifest_reports_throughput_and_seeding(self, tmp_path):
+        cfg = glauber_config(tmp_path / "out", M=16)
+        cfg["run"] = {"T": 2.0, "replicas": 2, "seed": 4,
+                      "initial": {"type": "poisson", "intensity": 5.0}}
+        assert main(["--config", write_config(tmp_path / "c.json", cfg), "simulate"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        events = manifest["events"]["per_replica"]
+        births = sum(ev["births"] for ev in events)
+        offered = births + sum(ev["rejections"] for ev in events)
+        assert offered > 0
+        assert manifest["acceptance_ratio"] == births / offered
+        assert manifest["run_ensemble_s"] > 0
+        assert manifest["proposals_per_s"] == pytest.approx(
+            sum(ev["proposals"] for ev in events) / manifest["run_ensemble_s"])
+        assert "SeedSequence" in manifest["replica_seeding"]
+
     def test_zero_replicas_is_config_error(self, tmp_path):
         cfg = db_config(tmp_path / "out", M=16)
         cfg["run"] = {"T": 1.0, "replicas": 0}

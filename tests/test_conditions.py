@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,6 +92,16 @@ class TestGlauberConditions:
                 assert rep.contraction_q < 0.5
             if rep.bound_2:
                 assert rep.contraction_q < 1.0
+
+    def test_inconsistent_report_raises(self, torus1, grid64):
+        # the consistency checks must hold under python -O as well
+        rep = check_conditions(GlauberModel(torus1, s=0.5, z=0.1, phi=BoxKernel(0.4, 0.1)),
+                               2.0, grid64, scan_best_C=False)
+        assert rep.bound_3_2 and rep.nu_window
+        with pytest.raises(ValueError, match="bound_3_2"):
+            replace(rep, bound_2=False)
+        with pytest.raises(ValueError, match="alpha_window"):
+            replace(rep, alpha_window=None)
 
 
 class TestBDLPConditions:

@@ -13,6 +13,7 @@ from birthdeath import (BDLPModel, BoxKernel, CorrelationVector, GaussianKernel,
                         normalize_on_grid, stationary_solve)
 from birthdeath.errors import (BlowUpError, ConditionError, StabilityError,
                                TruncationError)
+from birthdeath import hierarchy
 from birthdeath.hierarchy import _apply_tables, _ks_tables, stability_bound
 from birthdeath.space import Grid, Torus
 
@@ -200,7 +201,7 @@ class TestDualGeneratorOracle:
                     assert_close_to_dense(out_h.k1, out_f.k1, case)
                     assert_close_to_dense(out_h.k2_full(), out_f.k2, case)
 
-    def test_dense_pair_contraction_matches_einsum_reference(self, rng):
+    def test_dense_pair_contraction_matches_einsum_reference(self, rng, monkeypatch):
         # with the zero closure, raising zeta_max from 1 to 2 adds exactly the
         # birth term B1 * qb2 / 2, qb2 = w^2 sum_{j,l} Gb[i,j] k2[j,l] Gb[i,l]
         for torus, m in ((Torus(1, 1.0), 32), (Torus(2, 1.0), 8)):
@@ -212,6 +213,34 @@ class TestDualGeneratorOracle:
             hi = apply_dual_generator(model, k, HierarchyConfig(zeta_max=2, closure="zero"))
             lo = apply_dual_generator(model, k, HierarchyConfig(zeta_max=1, closure="zero"))
             assert_close_to_dense(hi.k1 - lo.k1, 0.5 * t.B1 * qb2, torus.dim)
+
+        # the singleton and pair birth terms share one product w * (Gb @ k2):
+        # one GEMM per application, with results bitwise equal to forming
+        # the product separately in each term
+        products = []
+        wmatmul = hierarchy._DenseLayout.wmatmul
+
+        def counted(lay, a, b):
+            products.append(a.shape)
+            return wmatmul(lay, a, b)
+
+        def run_all(k, t):
+            cfg = HierarchyConfig(zeta_max=2, closure="poisson")
+            products.clear()
+            outs = [_apply_tables(t, k, cfg), _ks_tables(t, k, cfg, "glauber")]
+            return outs, len(products)
+
+        monkeypatch.setattr(hierarchy._DenseLayout, "wmatmul", counted)
+        grid = Grid(Torus(1, 1.0), 32)
+        k = random_vector(rng, grid, 1.5)
+        t = oracle_models(grid.torus)[0].hierarchy_tables(grid)
+        shared, n_shared = run_all(k, t)
+        monkeypatch.setattr(hierarchy, "_gb_k2",
+                            lambda t, lay, k2e: lambda: lay.wmatmul(t.Gb, k2e))
+        separate, n_separate = run_all(k, t)
+        assert (n_shared, n_separate) == (2, 4)
+        for a, b in zip(shared, separate):
+            assert np.array_equal(a.k1, b.k1) and np.array_equal(a.k2, b.k2)
 
 
 class TestDuality:
