@@ -10,7 +10,6 @@ computation aborts, 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -160,16 +159,31 @@ def _initial_density(run: dict, grid: Grid) -> np.ndarray:
     return arr.reshape(grid.node_count)
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+# Rows formatted per pass of write_csv: bounds the format string and the
+# float tuple that one `%` builds.
+_CSV_BLOCK_ROWS = 4096
 
 
 def write_csv(path: Path, header, rows) -> None:
+    """Write a header line, then each row of `rows` (a 2-D numeric table) as
+    `%.17g` of every cell, comma-separated, with `\\r\\n` line ends."""
+    table = np.asarray(rows, dtype=float)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+        fh.write(",".join(header) + "\r\n")
+        if not len(table):
+            return
+        line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
+def _write_csvs(out_dir: Path, tables: dict) -> float:
+    """Write each `name: (header, rows)` table; return the seconds it took."""
+    started = time.perf_counter()
+    for name, (header, rows) in tables.items():
+        write_csv(out_dir / name, header, rows)
+    return time.perf_counter() - started
 
 
 def write_manifest(out_dir: Path, cfg: dict, command: str, started: float,
@@ -273,16 +287,15 @@ def cmd_simulate(cfg: dict, args) -> int:
 
     out_dir = _out_dir(cfg, args)
     corr = result.correlations
-    centers = grid.nodes + grid.spacing / 2.0
-    write_csv(out_dir / "k1.csv",
-              [f"bin_center_{i}" for i in range(torus.dim)] + ["estimate", "std_error"],
-              [list(centers[i]) + [corr.k1[i], corr.k1_se[i]] for i in range(grid.node_count)])
-    write_csv(out_dir / "k2.csv", ["bin_center", "estimate", "std_error"],
-              [[corr.k2_centers[i], corr.k2[i], corr.k2_se[i]]
-               for i in range(len(corr.k2_centers))])
-    write_csv(out_dir / "population.csv", ["time", "mean", "std_error"],
-              [[result.snapshot_times[i], result.population_mean[i], result.population_se[i]]
-               for i in range(len(result.snapshot_times))])
+    write_s = _write_csvs(out_dir, {
+        "k1.csv": ([f"bin_center_{i}" for i in range(torus.dim)] + ["estimate", "std_error"],
+                   np.column_stack([grid.nodes + grid.spacing / 2.0, corr.k1, corr.k1_se])),
+        "k2.csv": (["bin_center", "estimate", "std_error"],
+                   np.column_stack([corr.k2_centers, corr.k2, corr.k2_se])),
+        "population.csv": (["time", "mean", "std_error"],
+                           np.column_stack([result.snapshot_times, result.population_mean,
+                                            result.population_se])),
+    })
     write_manifest(out_dir, cfg, "simulate", started, {
         "seed": seed, "replicas": replicas, "replica_seeding": REPLICA_SEEDING,
         "events": result.events,
@@ -290,6 +303,7 @@ def cmd_simulate(cfg: dict, args) -> int:
         "proposals_per_s": totals["proposals"] / ensemble_s,
         # births over accepted plus rejected birth proposals; null without any
         "acceptance_ratio": totals["births"] / offered if offered else None,
+        "write_csv_s": write_s,
     })
     return 0
 
@@ -316,34 +330,38 @@ def cmd_hierarchy_evolve(cfg: dict, args) -> int:
     result = evolve(model, k0, T, dt=run.get("dt"), cfg=hcfg, snapshot_times=snaps)
 
     out_dir = _out_dir(cfg, args)
-    _write_correlation_csvs(out_dir, grid, result.times, result.snapshots)
+    write_s = _write_csvs(out_dir, _correlation_tables(grid, result.times, result.snapshots))
     write_manifest(out_dir, cfg, "hierarchy evolve", started,
-                   {"dt": result.dt, "norms": result.norms, "times": result.times})
+                   {"dt": result.dt, "norms": result.norms, "times": result.times,
+                    "write_csv_s": write_s})
     return 0
 
 
-def _write_correlation_csvs(out_dir: Path, grid: Grid, times, snapshots) -> None:
-    k1_rows = []
-    k2_rows = []
-    for t, snap in zip(times, snapshots):
-        for i in range(grid.node_count):
-            k1_rows.append([t] + list(grid.nodes[i]) + [snap.k1[i]])
-        if snap.k2 is None:
-            continue
-        if snap.homogeneous:
-            for u in range(grid.node_count):
-                k2_rows.append([t, u, float(grid.torus.distance(grid.nodes[u], grid.nodes[0])),
-                                snap.k2[u]])
-        else:
-            for i in range(grid.node_count):
-                for j in range(grid.node_count):
-                    k2_rows.append([t, i, j, snap.k2[i, j]])
+def _node_table(grid: Grid, times, values) -> np.ndarray:
+    """Rows (time, node coordinates..., value) for every node at every time."""
+    n = grid.node_count
+    return np.vstack([np.column_stack([np.full(n, t), grid.nodes, v])
+                      for t, v in zip(times, values)])
+
+
+def _correlation_tables(grid: Grid, times, snapshots) -> dict:
     dim = grid.torus.dim
-    write_csv(out_dir / "k1.csv", ["time"] + [f"x{i}" for i in range(dim)] + ["k1"], k1_rows)
-    header = ["time", "offset", "separation", "k2"] if snapshots[0].homogeneous \
-        else ["time", "i", "j", "k2"]
-    if snapshots[0].k2 is not None:
-        write_csv(out_dir / "k2.csv", header, k2_rows)
+    n = grid.node_count
+    tables = {"k1.csv": (["time"] + [f"x{i}" for i in range(dim)] + ["k1"],
+                         _node_table(grid, times, [snap.k1 for snap in snapshots]))}
+    if snapshots[0].k2 is None:
+        return tables
+    if snapshots[0].homogeneous:
+        header = ["time", "offset", "separation", "k2"]
+        pairs = np.column_stack([np.arange(n),
+                                 grid.torus.distance(grid.nodes, grid.nodes[0])])
+    else:
+        header = ["time", "i", "j", "k2"]
+        pairs = np.column_stack(np.divmod(np.arange(n * n), n))
+    tables["k2.csv"] = (header, np.vstack([
+        np.column_stack([np.full(len(pairs), t), pairs, snap.k2.ravel()])
+        for t, snap in zip(times, snapshots)]))
+    return tables
 
 
 def cmd_hierarchy_stationary(cfg: dict, args) -> int:
@@ -354,12 +372,13 @@ def cmd_hierarchy_stationary(cfg: dict, args) -> int:
                               tol=float(run.get("tol", 1e-10)),
                               max_iter=int(run.get("max_iter", 1000)))
     out_dir = _out_dir(cfg, args)
-    _write_correlation_csvs(out_dir, grid, [0.0], [result.k_inv])
+    write_s = _write_csvs(out_dir, _correlation_tables(grid, [0.0], [result.k_inv]))
     write_manifest(out_dir, cfg, "hierarchy stationary", started, {
         "iterations": result.iterations,
         "contraction_q": result.q,
         "certificate": result.certificate,
         "fixed_point_residual": result.residual,
+        "write_csv_s": write_s,
     })
     return 0
 
@@ -376,15 +395,12 @@ def cmd_vlasov(cfg: dict, args) -> int:
     result = integrate_vlasov(model, grid, rho0, T, dt, snapshot_times=snaps)
 
     out_dir = _out_dir(cfg, args)
-    rows = []
-    for t, f in zip(result.times, result.fields):
-        for i in range(grid.node_count):
-            rows.append([t] + list(grid.nodes[i]) + [f.rho[i]])
-    write_csv(out_dir / "rho.csv",
-              ["time"] + [f"x{i}" for i in range(torus.dim)] + ["rho"], rows)
+    write_s = _write_csvs(out_dir, {
+        "rho.csv": (["time"] + [f"x{i}" for i in range(torus.dim)] + ["rho"],
+                    _node_table(grid, result.times, [f.rho for f in result.fields]))})
     write_manifest(out_dir, cfg, "vlasov", started,
                    {"dt": result.dt, "clipped_mass": result.clipped_mass,
-                    "times": result.times})
+                    "times": result.times, "write_csv_s": write_s})
     return 0
 
 
@@ -403,9 +419,15 @@ def cmd_scale_compare(cfg: dict, args) -> int:
                             snapshot_times=snaps, zeta_max=weights["zeta_max"],
                             closure=weights["closure"])
     out_dir = _out_dir(cfg, args)
-    write_csv(out_dir / "errors.csv", ["eps", "time", "error"], list(table.rows()))
+    n_eps, n_times = table.errors.shape
+    write_s = _write_csvs(out_dir, {
+        "errors.csv": (["eps", "time", "error"],
+                       np.column_stack([np.repeat(table.eps_list, n_times),
+                                        np.tile(table.times, n_eps),
+                                        table.errors.ravel()]))})
     write_manifest(out_dir, cfg, "scale-compare", started,
-                   {"eps_list": list(map(float, eps_list)), "times": table.times})
+                   {"eps_list": list(map(float, eps_list)), "times": table.times,
+                    "write_csv_s": write_s})
     return 0
 
 

@@ -234,9 +234,9 @@ def _run_replica(args):
         if len(points):
             np.add.at(k1_counts, est_grid.cell_index(points), 1.0)
             if len(points) > 1:
-                dists = torus.distance(points[:, None, :], points[None, :, :])
                 iu = np.triu_indices(len(points), k=1)
-                hist, _ = np.histogram(dists[iu], bins=pair_edges)
+                hist, _ = np.histogram(torus.distance(points[iu[0]], points[iu[1]]),
+                                       bins=pair_edges)
                 pair_counts[:] += 2.0 * hist  # ordered pairs
         used_snaps += 1
 

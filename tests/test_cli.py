@@ -49,6 +49,11 @@ def glauber_config(out_dir, z=0.3, s=0.5, M=32):
     }
 
 
+def assert_reports_write_time(out_dir):
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["write_csv_s"] >= 0
+
+
 def read_csv(path):
     with open(path) as fh:
         reader = csv.reader(fh)
@@ -127,6 +132,7 @@ class TestSimulate:
         assert manifest["proposals_per_s"] == pytest.approx(
             sum(ev["proposals"] for ev in events) / manifest["run_ensemble_s"])
         assert "SeedSequence" in manifest["replica_seeding"]
+        assert_reports_write_time(tmp_path / "out")
 
     def test_zero_replicas_is_config_error(self, tmp_path):
         cfg = db_config(tmp_path / "out", M=16)
@@ -191,6 +197,7 @@ class TestHierarchy:
         times = sorted({r[0] for r in rows})
         assert times == pytest.approx([0.25, 0.5])
         assert (tmp_path / "out" / "k2.csv").exists()
+        assert_reports_write_time(tmp_path / "out")
 
     def test_homogeneous_flag_with_varying_density_is_config_error(self, tmp_path, capsys):
         cfg = glauber_config(tmp_path / "out", M=16)
@@ -227,6 +234,7 @@ class TestScaleCompare:
         assert header == ["eps", "time", "error"]
         errs = [r[2] for r in rows]
         assert errs[0] > errs[1] > errs[2]
+        assert_reports_write_time(tmp_path / "out")
 
 
 class TestUsage:
