@@ -23,7 +23,6 @@ ensembles with different seeds share no chain.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -115,14 +114,15 @@ class _Chain:
             self.points = np.delete(self.points, idx, axis=0)
             self.sums = np.delete(self.sums, idx) - self._kernel_at(x)
             return "death"
-        x, accept = self.model.propose_birth(rng, self.points, self.eps)
+        x, accept, k_x = self.model.propose_birth(rng, self.points, self.eps, kernel_row=True)
         if rng.uniform() < accept:
             if len(self.points) + 1 > self.population_cap:
                 raise SimulationAbort(
                     f"population cap {self.population_cap} exceeded at t = {t:.4f}; "
                     "the parameters likely violate the non-explosion conditions")
             x = self.model.torus.wrap(x).reshape(1, -1)
-            k_x = self._kernel_at(x)
+            if k_x is None:
+                k_x = self._kernel_at(x)
             self.sums = np.append(self.sums + k_x, k_x.sum())
             self.points = np.vstack([self.points, x])
             return "birth"
@@ -288,6 +288,8 @@ def run_ensemble(model: RateModel, initial, T: float, replicas: int, seed: int,
             for child in np.random.SeedSequence(seed).spawn(replicas)]
 
     if threads > 1:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_run_replica, args))
     else:

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import birthdeath
 from birthdeath.cli import main
 
 
@@ -198,6 +203,8 @@ class TestHierarchy:
         assert times == pytest.approx([0.25, 0.5])
         assert (tmp_path / "out" / "k2.csv").exists()
         assert_reports_write_time(tmp_path / "out")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["evolve_s"] >= 0
 
     def test_homogeneous_flag_with_varying_density_is_config_error(self, tmp_path, capsys):
         cfg = glauber_config(tmp_path / "out", M=16)
@@ -245,3 +252,18 @@ class TestUsage:
         cfg = {"model": {"name": "ising"}, "space": {"d": 1, "L": 1.0, "M": 8},
                "output": {"directory": str(tmp_path / "o")}}
         assert main(["--config", write_config(tmp_path / "c.json", cfg), "check"]) == 2
+
+
+def test_cli_import_loads_numpy_only():
+    # a fresh interpreter, so that modules loaded by other tests do not count
+    code = ("import json, sys; before = set(sys.modules); import birthdeath.cli; "
+            "print(json.dumps([sorted(sys.modules), sorted(set(sys.modules) - before)]))")
+    src = str(Path(birthdeath.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    loaded, added = json.loads(done.stdout)
+    assert not [m for m in loaded if m.startswith(("concurrent.futures", "multiprocessing"))]
+    assert not [m for m in loaded if m.partition(".")[0] == "scipy"]
+    packages = {m.partition(".")[0] for m in added}
+    assert packages - set(sys.stdlib_module_names) == {"birthdeath", "numpy"}

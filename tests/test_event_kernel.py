@@ -127,6 +127,35 @@ def test_maintained_rates_do_not_drift(make):
                                rtol=RATE_RTOL, atol=0)
 
 
+def test_glauber_birth_evaluates_phi_once(monkeypatch):
+    # the acceptance probability and the pair-sum update of an accepted
+    # birth share one kernel row; it must equal the row and the acceptance
+    # computed on their own
+    torus = Torus(2, 3.0)
+    model = GlauberModel(torus, s=0.5, z=2.0, phi=GaussianKernel(0.7, 0.3, 0.9))
+    rng = np.random.default_rng(12)
+    for n in (0, 1, 30):
+        points = rng.uniform(0.0, torus.length, (n, 2))
+        x, accept, row = model.propose_birth(np.random.default_rng(n), points, 0.7,
+                                             kernel_row=True)
+        x_plain, accept_plain = model.propose_birth(np.random.default_rng(n), points, 0.7)
+        assert np.array_equal(x, x_plain) and accept == accept_plain
+        assert accept == math.exp(0.7 * (model.s - 1.0) * model._phi_sum(x, points))
+        chain = _Chain(model, points, 0.0, 0.7, 1.0, population_cap=10 ** 6)
+        assert np.array_equal(row, chain._kernel_at(torus.wrap(x).reshape(1, -1)))
+
+    # s = 1 accepts every birth, and z dwarfs the death rates
+    model = GlauberModel(Torus(1, 1.0), s=1.0, z=1e6, phi=BoxKernel(0.4, 0.1))
+    points = rng.uniform(0.0, 1.0, (5, 1))
+    chain = _Chain(model, points, 0.0, 1.0, 1.0, population_cap=10 ** 6)
+    calls = []
+    radial = BoxKernel.radial
+    monkeypatch.setattr(BoxKernel, "radial", lambda self, r: calls.append(1) or radial(self, r))
+    assert chain.fire(rng, chain.next_time(rng)) == "birth"
+    assert len(calls) == 1
+    np.testing.assert_allclose(chain.sums, model.death_sums(chain.points), rtol=RATE_RTOL)
+
+
 def test_step_follows_the_long_lived_kernel():
     # step rebuilds the pair sums from scratch on every call and keeps the
     # configuration in lexicographic order; a long-lived kernel whose rows

@@ -192,6 +192,35 @@ def test_scale_compare_bytes(tmp_path, capture):
                              tmp_path)
 
 
+def nan_payloads():
+    """NaNs with either sign bit and three payloads, each repeated."""
+    bits = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFF4000000000ABC], dtype=np.uint64)
+    return np.tile(bits.view(float)[:, None], (40, 3))
+
+
+def repeats_across_blocks():
+    """A column cycling through 5 values, a distinct column and a constant one,
+    over block boundaries."""
+    n = 3 * cli._CSV_BLOCK_ROWS + 17
+    return np.column_stack([(np.arange(n) % 5) * 0.1,
+                            np.random.default_rng(4).standard_normal(n),
+                            np.full(n, 1.0 / 3.0)])
+
+
+# table -> which columns the writer formats once per distinct value
+WRITER_CASES = {
+    "signed-zeros": (np.tile([[0.0, -0.0, 2.5], [-0.0, 0.0, -0.0]], (60, 1)),
+                     [True, True, True]),
+    "nan-payloads": (nan_payloads(), [True, True, True]),
+    "all-distinct": (np.arange(3.0 * (2 * cli._CSV_BLOCK_ROWS + 5)).reshape(-1, 3) / 7.0,
+                     [False, False, False]),
+    "repeats-across-blocks": (repeats_across_blocks(), [True, False, True]),
+    "one-row": ([[0.1, -0.0, 7.0]], [False, False, False]),
+    "one-column": (np.repeat([[0.25], [1e-300], [-3.0]], 40, axis=0), [True]),
+}
+
+
 @pytest.mark.parametrize("rows", [
     [[float("nan"), float("inf"), -float("inf")], [-0.0, 1e-300, -1e-300],
      [3, -7, 2 ** 60], [0.1, 1.0 / 3.0, 5e-324]],
@@ -200,10 +229,25 @@ def test_scale_compare_bytes(tmp_path, capture):
     np.random.default_rng(3).standard_normal((3 * cli._CSV_BLOCK_ROWS + 17, 4)),
     [],
     np.zeros((0, 3)),
-], ids=["special-values", "float-array", "int-array", "across-blocks", "empty-list",
-        "empty-array"])
+    np.zeros((3, 0)),
+] + [rows for rows, _ in WRITER_CASES.values()],
+    ids=["special-values", "float-array", "int-array", "across-blocks", "empty-list",
+         "empty-array", "no-columns"] + list(WRITER_CASES))
 def test_write_csv_matches_reference(rows, tmp_path):
     header = ["a", "b", "c"]
     write_csv(tmp_path / "new.csv", header, rows)
     reference_write_csv(tmp_path / "ref.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_write_csv_formats_repeated_columns_once(case):
+    rows, reused = WRITER_CASES[case]
+    table = np.asarray(rows, dtype=float)
+    columns = [cli._distinct_texts(table[:, c], "") for c in range(table.shape[1])]
+    assert [col is not None for col in columns] == reused
+    for c, col in enumerate(columns):
+        if col is not None:
+            texts, inverse = col
+            assert len(texts) == len(np.unique(table[:, c].view(np.int64)))
+            assert texts[inverse].tolist() == [f"{v:.17g}" for v in table[:, c].tolist()]
