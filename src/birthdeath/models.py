@@ -121,15 +121,14 @@ class RateModel:
         """Upper bound for the integral of b_eps(x, gamma) dx (thinning envelope)."""
         raise NotImplementedError
 
-    def propose_birth(self, rng: np.random.Generator, points: np.ndarray, eps: float = 1.0,
-                      kernel_row: bool = False):
+    def propose_birth(self, rng: np.random.Generator, points: np.ndarray, eps: float = 1.0):
         """Draw a birth location from the dominating mixture.
 
-        Returns (x, accept_prob) where accept_prob = b_eps(x, gamma) over
-        the dominating intensity at x.  With `kernel_row`, returns
-        (x, accept_prob, row): `row` holds the death kernel k(|x - y|) for
-        every y in `points` when the acceptance already evaluated it, else
-        None, so an accepted birth need not evaluate it again.
+        Returns (x, accept_prob, row) where accept_prob = b_eps(x, gamma)
+        over the dominating intensity at x.  `row` holds the death kernel
+        k(|x - y|) for every y in `points` when the acceptance already
+        evaluated it, else None, so an accepted birth need not evaluate it
+        again.
         """
         raise NotImplementedError
 
@@ -268,12 +267,11 @@ class GlauberModel(RateModel):
         # b_eps <= z uniformly since phi >= 0 and s <= 1
         return self.z * self.torus.volume
 
-    def propose_birth(self, rng: np.random.Generator, points: np.ndarray, eps: float = 1.0,
-                      kernel_row: bool = False):
+    def propose_birth(self, rng: np.random.Generator, points: np.ndarray, eps: float = 1.0):
         x = rng.uniform(0.0, self.torus.length, size=self.torus.dim)
         row = self.phi.radial(self.torus.distance(x, points))
         accept = math.exp(eps * (self.s - 1.0) * float(row.sum()))
-        return (x, accept, row) if kernel_row else (x, accept)
+        return x, accept, row
 
     def mean_field_rhs(self, grid: Grid, rho: np.ndarray) -> np.ndarray:
         conv = circular_convolve(grid, rho, self.phi.profile(grid))
@@ -393,8 +391,7 @@ class BDLPModel(RateModel):
         disp = eps * self.kappa_plus * n_points * self.a_plus.integral(self.torus.dim)
         return self.kappa * self.torus.volume + disp
 
-    def propose_birth(self, rng: np.random.Generator, points: np.ndarray, eps: float = 1.0,
-                      kernel_row: bool = False):
+    def propose_birth(self, rng: np.random.Generator, points: np.ndarray, eps: float = 1.0):
         n = len(points)
         mass_imm = self.kappa * self.torus.volume
         mass_disp = eps * self.kappa_plus * n * self.a_plus.integral(self.torus.dim)
@@ -405,7 +402,7 @@ class BDLPModel(RateModel):
             parent = points[rng.integers(n)]
             x = self.torus.wrap(parent + self.a_plus.sample_displacement(rng, self.torus.dim))
         # the mixture intensity equals b_eps(x, gamma) exactly
-        return (x, 1.0, None) if kernel_row else (x, 1.0)
+        return x, 1.0, None
 
     def mean_field_rhs(self, grid: Grid, rho: np.ndarray) -> np.ndarray:
         conv_m = circular_convolve(grid, rho, self.a_minus.profile(grid))

@@ -114,7 +114,7 @@ class _Chain:
             self.points = np.delete(self.points, idx, axis=0)
             self.sums = np.delete(self.sums, idx) - self._kernel_at(x)
             return "death"
-        x, accept, k_x = self.model.propose_birth(rng, self.points, self.eps, kernel_row=True)
+        x, accept, k_x = self.model.propose_birth(rng, self.points, self.eps)
         if rng.uniform() < accept:
             if len(self.points) + 1 > self.population_cap:
                 raise SimulationAbort(

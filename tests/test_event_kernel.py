@@ -30,7 +30,7 @@ def reference_proposal(points, rng, model, eps, birth_scale):
         idx = int(np.searchsorted(np.cumsum(d_vec), v, side="right"))
         idx = min(idx, len(points) - 1)
         return np.delete(points, idx, axis=0), wait, "death", idx
-    x, accept = model.propose_birth(rng, points, eps)
+    x, accept, _ = model.propose_birth(rng, points, eps)
     if rng.uniform() < accept:
         pts = np.vstack([points, model.torus.wrap(x).reshape(1, -1)])
         return pts, wait, "birth", len(pts) - 1
@@ -136,10 +136,9 @@ def test_glauber_birth_evaluates_phi_once(monkeypatch):
     rng = np.random.default_rng(12)
     for n in (0, 1, 30):
         points = rng.uniform(0.0, torus.length, (n, 2))
-        x, accept, row = model.propose_birth(np.random.default_rng(n), points, 0.7,
-                                             kernel_row=True)
-        x_plain, accept_plain = model.propose_birth(np.random.default_rng(n), points, 0.7)
-        assert np.array_equal(x, x_plain) and accept == accept_plain
+        x, accept, row = model.propose_birth(np.random.default_rng(n), points, 0.7)
+        # the location is the proposal's only draw
+        assert np.array_equal(x, np.random.default_rng(n).uniform(0.0, torus.length, 2))
         assert accept == math.exp(0.7 * (model.s - 1.0) * model._phi_sum(x, points))
         chain = _Chain(model, points, 0.0, 0.7, 1.0, population_cap=10 ** 6)
         assert np.array_equal(row, chain._kernel_at(torus.wrap(x).reshape(1, -1)))

@@ -117,7 +117,7 @@ class TestThinning:
         n_prop = 20000
         accepted = []
         for _ in range(n_prop):
-            x, p = model.propose_birth(rng, frozen)
+            x, p, _ = model.propose_birth(rng, frozen)
             if rng.uniform() < p:
                 accepted.append(x[0])
         accepted = np.asarray(accepted)
