@@ -30,7 +30,7 @@ import numpy as np
 from .configurations import CoherentState, FiniteConfiguration, SetFunction
 from .errors import ModelValidationError
 from .kernels import RadialKernel, validate_kernel_fits
-from .space import Grid, Torus, circular_convolve
+from .space import Grid, Torus, circular_convolve, row_blocks
 
 
 def _as_points(obj, dim: int) -> np.ndarray:
@@ -86,13 +86,20 @@ class RateModel:
         raise NotImplementedError
 
     def death_sums(self, points: np.ndarray) -> np.ndarray:
-        """S_i = sum_{j != i} k(|x_i - x_j|) for every row, from all pairs."""
+        """S_i = sum_{j != i} k(|x_i - x_j|) for every row, from all pairs.
+
+        O(n^2) time, O(n) memory: the (n, n) kernel matrix is formed in row
+        blocks (`space.row_blocks`), and each row is summed whole, so the
+        sums equal those of the full matrix bit for bit.
+        """
         pts = np.asarray(points, dtype=float).reshape(-1, self.torus.dim)
-        if len(pts) == 0:
-            return np.zeros(0)
-        k_m = self.death_kernel.radial(self.torus.distance(pts[:, None, :], pts[None, :, :]))
-        np.fill_diagonal(k_m, 0.0)
-        return k_m.sum(axis=1)
+        sums = np.empty(len(pts))
+        for rows in row_blocks(len(pts), len(pts)):
+            k_b = self.death_kernel.radial(self.torus.distance(pts[rows, None, :],
+                                                               pts[None, :, :]))
+            np.fill_diagonal(k_b[:, rows.start:], 0.0)
+            sums[rows] = k_b.sum(axis=1)
+        return sums
 
     def death_rates(self, points: np.ndarray, eps: float = 1.0) -> np.ndarray:
         """d(x_i, points minus x_i) for every row, vectorized."""

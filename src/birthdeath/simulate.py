@@ -13,7 +13,10 @@ One event kernel (`_Chain`) runs both :func:`step` and the replicas of
 S_i = sum_{j != i} k(|x_i - x_j|) beside the points, so a proposal costs
 O(n) vectorised work: one kernel evaluation against the population on a
 birth or a death, plus the rate map, the cumulative sum and the copy of
-the point array.  Only the initial configuration costs O(n^2).
+the point array.  Only the initial pair sums and each snapshot's pair
+histogram cost O(n^2) time; both walk the pair table in row blocks of at
+most `space.PAIR_BLOCK_ENTRIES` entries, so their memory is O(n) at any
+population.
 
 Replicas are independent: replica r is driven by PCG64 seeded with the
 r-th child of ``numpy.random.SeedSequence(seed).spawn(replicas)``, so
@@ -31,7 +34,7 @@ import numpy as np
 from .configurations import FiniteConfiguration
 from .errors import SimulationAbort
 from .models import RateModel
-from .space import Grid, Torus
+from .space import Grid, Torus, row_blocks
 
 __all__ = [
     "SimulationState", "step", "step_scaled", "run_ensemble",
@@ -208,6 +211,19 @@ def _shell_measure(torus: Torus, r1: float, r2: float) -> float:
     return math.pi * (r2 * r2 - r1 * r1)
 
 
+def _pair_histogram(torus: Torus, points: np.ndarray, pair_edges: np.ndarray) -> np.ndarray:
+    """Counts of the unordered pairs i < j by minimum-image distance of
+    x_i - x_j, from row blocks of the pair table (O(n) memory)."""
+    n = len(points)
+    hist = np.zeros(len(pair_edges) - 1, dtype=np.int64)
+    for rows in row_blocks(n, n):
+        # row i of the block against columns j = rows.start + 1 + c; keep j > i
+        r = torus.distance(points[rows, None, :], points[None, rows.start + 1:, :])
+        upper = np.arange(r.shape[1]) >= np.arange(r.shape[0])[:, None]
+        hist += np.histogram(r[upper], bins=pair_edges)[0]
+    return hist
+
+
 _EVENT_COUNTER = {"birth": "births", "death": "deaths", "rejected": "rejections"}
 
 
@@ -234,10 +250,7 @@ def _run_replica(args):
         if len(points):
             np.add.at(k1_counts, est_grid.cell_index(points), 1.0)
             if len(points) > 1:
-                iu = np.triu_indices(len(points), k=1)
-                hist, _ = np.histogram(torus.distance(points[iu[0]], points[iu[1]]),
-                                       bins=pair_edges)
-                pair_counts[:] += 2.0 * hist  # ordered pairs
+                pair_counts[:] += 2.0 * _pair_histogram(torus, points, pair_edges)  # ordered pairs
         used_snaps += 1
 
     chain = _Chain(model, pts, 0.0, eps, birth_scale, population_cap)

@@ -12,6 +12,19 @@ from functools import cached_property
 
 import numpy as np
 
+#: entries (rows x columns) of a pair table that one row block holds; pair
+#: loops over a point set work block by block, so their memory is O(n)
+PAIR_BLOCK_ENTRIES = 1 << 14
+
+
+def row_blocks(n_rows: int, n_cols: int):
+    """Consecutive row slices covering range(n_rows), each spanning at most
+    PAIR_BLOCK_ENTRIES entries of an (n_rows, n_cols) table (and at least
+    one row)."""
+    step = max(1, PAIR_BLOCK_ENTRIES // max(n_cols, 1))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
 
 @dataclass(frozen=True)
 class Torus:
