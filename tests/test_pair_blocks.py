@@ -60,7 +60,7 @@ def points_for(n, dim, seed=3):
     pts = rng.uniform(0.0, 1.0, size=(n, dim))
     if n >= 4:
         pts[1] = pts[0]            # a coincident pair
-        pts[3] = (pts[2] + 0.1) % 1.0  # a pair at the box radius along each axis
+        pts[3] = (pts[2] + 0.1) % 1.0  # 0.1 apart per coordinate: the box radius in d = 1
     return pts
 
 
