@@ -23,7 +23,7 @@ from .hierarchy import (
     CorrelationVector, QuasiObservable, HierarchyConfig, apply_dual_generator,
     apply_forward_generator, dual_pairing, evolve, ks_operator, stationary_solve,
 )
-from .simulate import (SimulationState, step, step_scaled, run_ensemble,
+from .simulate import (SimulationState, step, run_ensemble,
                        PoissonInitial, FixedInitial)
 from .vlasov import (VlasovField, vlasov_rhs, vlasov_rhs_reference,
                      scaling_compare)
@@ -40,7 +40,7 @@ __all__ = [
     "CorrelationVector", "QuasiObservable", "HierarchyConfig",
     "apply_dual_generator", "apply_forward_generator", "dual_pairing",
     "evolve", "ks_operator", "stationary_solve",
-    "SimulationState", "step", "step_scaled", "run_ensemble",
+    "SimulationState", "step", "run_ensemble",
     "PoissonInitial", "FixedInitial",
     "VlasovField", "vlasov_rhs", "vlasov_rhs_reference", "integrate_vlasov",
     "scaling_compare",

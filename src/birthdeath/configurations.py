@@ -46,7 +46,7 @@ class FiniteConfiguration:
         if len(pts) > 1:
             order = np.lexsort(pts.T[::-1])
             pts = pts[order]
-            if any(np.array_equal(pts[i], pts[i + 1]) for i in range(len(pts) - 1)):
+            if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
                 raise ValueError("configuration points must be pairwise distinct")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

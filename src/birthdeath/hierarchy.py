@@ -506,13 +506,8 @@ class EvolveResult:
         return self.snapshots[-1]
 
 
-def stability_bound(model: RateModel, grid: Grid, order: int = 2,
-                    eps: float = 1.0) -> float:
-    """Explicit-stepper guard 1 / (2 sup D) over represented configurations."""
-    return _stability_guard(model.hierarchy_tables(grid, eps), order)
-
-
 def _stability_guard(t: KernelTables, order: int) -> float:
+    """Explicit-stepper guard 1 / (2 sup D) over represented configurations."""
     sup_d = float(np.max(t.D1))
     if order >= 2:
         sup_d = max(sup_d, float(np.max(t.D2 + t.D2.T)))

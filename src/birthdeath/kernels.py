@@ -34,12 +34,6 @@ class RadialKernel:
     def max_value(self) -> float:
         raise NotImplementedError
 
-    def value(self, torus: Torus, displacement) -> np.ndarray:
-        """Kernel at a displacement (minimum image applied here)."""
-        d = torus.minimage(displacement)
-        r = np.sqrt(np.sum(np.asarray(d) ** 2, axis=-1))
-        return self.radial(r)
-
     def profile(self, grid: Grid) -> np.ndarray:
         """Kernel sampled at node offsets from the origin, shape (N,)."""
         return np.asarray(self.radial(grid.torus.distance(grid.nodes, 0.0 * grid.nodes[0])),

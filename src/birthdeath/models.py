@@ -69,8 +69,16 @@ class RateModel:
     #: max kernel order with nonzero inverse-transform entries (None = unbounded)
     kernel_support_bound: Optional[int] = None
 
+    def pair_sum(self, kernel: RadialKernel, x, pts: np.ndarray) -> float:
+        """sum_{y in pts} k(|x - y|) at minimum-image distance."""
+        if len(pts) == 0:
+            return 0.0
+        return float(np.sum(kernel.radial(self.torus.distance(x, pts))))
+
     def death(self, x, xi, eps: float = 1.0) -> float:
-        raise NotImplementedError
+        pts = _as_points(xi, self.torus.dim)
+        self._reject_member(x, pts)
+        return float(self.death_rate_of_sum(self.pair_sum(self.death_kernel, x, pts), eps))
 
     def birth(self, x, xi, eps: float = 1.0) -> float:
         raise NotImplementedError
@@ -105,11 +113,15 @@ class RateModel:
         """d(x_i, points minus x_i) for every row, vectorized."""
         raise NotImplementedError
 
-    def k0inv_death(self, x, xi, eta, eps: float = 1.0) -> float:
+    def _k0inv(self, x, xi, eta, eps: float, kind: str) -> float:
+        """Renormalized death (kind "death") or birth kernel at eta."""
         raise NotImplementedError
 
+    def k0inv_death(self, x, xi, eta, eps: float = 1.0) -> float:
+        return self._k0inv(x, xi, eta, eps, "death")
+
     def k0inv_birth(self, x, xi, eta, eps: float = 1.0) -> float:
-        raise NotImplementedError
+        return self._k0inv(x, xi, eta, eps, "birth")
 
     def vlasov_symbols(self, x, eta):
         """Formal eps -> 0 limits of the renormalized kernels (death, birth)."""
@@ -152,7 +164,7 @@ class RateModel:
 def _check_eps(eps: float, allow_zero: bool = True) -> None:
     lo_ok = eps > 0 or (allow_zero and eps == 0)
     if not (lo_ok and eps <= 1.0):
-        raise ValueError(f"eps must lie in (0, 1] (or 0 for the limit symbols), got {eps}")
+        raise ValueError(f"eps must lie in {'[0' if allow_zero else '(0'}, 1], got {eps}")
 
 
 @dataclass(frozen=True)
@@ -185,11 +197,6 @@ class GlauberModel(RateModel):
     def phi_bar(self) -> float:
         return self.phi.max_value
 
-    def _phi_sum(self, x, pts: np.ndarray) -> float:
-        if len(pts) == 0:
-            return 0.0
-        return float(np.sum(self.phi.value(self.torus, np.asarray(x) - pts)))
-
     @property
     def death_kernel(self) -> RadialKernel:
         return self.phi
@@ -197,15 +204,10 @@ class GlauberModel(RateModel):
     def death_rate_of_sum(self, sums, eps: float = 1.0):
         return np.exp(eps * self.s * sums)
 
-    def death(self, x, xi, eps: float = 1.0) -> float:
-        pts = _as_points(xi, self.torus.dim)
-        self._reject_member(x, pts)
-        return float(self.death_rate_of_sum(self._phi_sum(x, pts), eps))
-
     def birth(self, x, xi, eps: float = 1.0) -> float:
         pts = _as_points(xi, self.torus.dim)
         self._reject_member(x, pts)
-        return self.z * math.exp(eps * (self.s - 1.0) * self._phi_sum(x, pts))
+        return self.z * math.exp(eps * (self.s - 1.0) * self.pair_sum(self.phi, x, pts))
 
     def death_rates(self, points: np.ndarray, eps: float = 1.0) -> np.ndarray:
         return self.death_rate_of_sum(self.death_sums(points), eps)
@@ -228,15 +230,9 @@ class GlauberModel(RateModel):
         base = self.death(x, xi_pts, eps) if kind == "death" else self.birth(x, xi_pts, eps)
         if len(eta_pts) == 0:
             return base
-        phi_vals = self.phi.value(self.torus, np.asarray(x) - eta_pts)
+        phi_vals = self.phi.radial(self.torus.distance(x, eta_pts))
         g = self._g_death(phi_vals, eps) if kind == "death" else self._g_birth(phi_vals, eps)
         return base * float(np.prod(g))
-
-    def k0inv_death(self, x, xi, eta, eps: float = 1.0) -> float:
-        return self._k0inv(x, xi, eta, eps, "death")
-
-    def k0inv_birth(self, x, xi, eta, eps: float = 1.0) -> float:
-        return self._k0inv(x, xi, eta, eps, "birth")
 
     def k0inv_abs_setfunction(self, x, xi, kind: str) -> SetFunction:
         """|renormalized kernel| as a product-form set function of eta (eps = 1)."""
@@ -245,7 +241,7 @@ class GlauberModel(RateModel):
         x = np.asarray(x, dtype=float)
 
         def f(points):
-            phi_vals = self.phi.value(self.torus, x - points)
+            phi_vals = self.phi.radial(self.torus.distance(x, points))
             g = self._g_death(phi_vals, 1.0) if kind == "death" else self._g_birth(phi_vals, 1.0)
             return np.abs(g)
 
@@ -317,11 +313,6 @@ class BDLPModel(RateModel):
     def name(self) -> str:
         return "bdlp_modified" if self.kappa > 0 else "bdlp"
 
-    def _kernel_sum(self, kernel: RadialKernel, x, pts: np.ndarray) -> float:
-        if len(pts) == 0:
-            return 0.0
-        return float(np.sum(kernel.value(self.torus, np.asarray(x) - pts)))
-
     @property
     def death_kernel(self) -> RadialKernel:
         return self.a_minus
@@ -329,15 +320,10 @@ class BDLPModel(RateModel):
     def death_rate_of_sum(self, sums, eps: float = 1.0):
         return self.m + eps * self.kappa_minus * sums
 
-    def death(self, x, xi, eps: float = 1.0) -> float:
-        pts = _as_points(xi, self.torus.dim)
-        self._reject_member(x, pts)
-        return self.death_rate_of_sum(self._kernel_sum(self.a_minus, x, pts), eps)
-
     def birth(self, x, xi, eps: float = 1.0) -> float:
         pts = _as_points(xi, self.torus.dim)
         self._reject_member(x, pts)
-        return self.kappa + eps * self.kappa_plus * self._kernel_sum(self.a_plus, x, pts)
+        return self.kappa + eps * self.kappa_plus * self.pair_sum(self.a_plus, x, pts)
 
     def death_rates(self, points: np.ndarray, eps: float = 1.0) -> np.ndarray:
         return self.death_rate_of_sum(self.death_sums(points), eps)
@@ -353,17 +339,9 @@ class BDLPModel(RateModel):
         if len(eta_pts) == 1:
             # renormalization cancels the eps on the singleton entry exactly
             if kind == "death":
-                return self.kappa_minus * float(self.a_minus.value(
-                    self.torus, np.asarray(x) - eta_pts[0]))
-            return self.kappa_plus * float(self.a_plus.value(
-                self.torus, np.asarray(x) - eta_pts[0]))
+                return self.kappa_minus * self.pair_sum(self.a_minus, x, eta_pts)
+            return self.kappa_plus * self.pair_sum(self.a_plus, x, eta_pts)
         return 0.0
-
-    def k0inv_death(self, x, xi, eta, eps: float = 1.0) -> float:
-        return self._k0inv(x, xi, eta, eps, "death")
-
-    def k0inv_birth(self, x, xi, eta, eps: float = 1.0) -> float:
-        return self._k0inv(x, xi, eta, eps, "birth")
 
     def k0inv_abs_setfunction(self, x, xi, kind: str) -> SetFunction:
         x = np.asarray(x, dtype=float)
@@ -401,9 +379,7 @@ class BDLPModel(RateModel):
     def propose_birth(self, rng: np.random.Generator, points: np.ndarray, eps: float = 1.0):
         n = len(points)
         mass_imm = self.kappa * self.torus.volume
-        mass_disp = eps * self.kappa_plus * n * self.a_plus.integral(self.torus.dim)
-        total = mass_imm + mass_disp
-        if rng.uniform(0.0, total) < mass_imm:
+        if rng.uniform(0.0, self.birth_total_bound(n, eps)) < mass_imm:
             x = rng.uniform(0.0, self.torus.length, size=self.torus.dim)
         else:
             parent = points[rng.integers(n)]

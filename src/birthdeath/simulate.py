@@ -18,6 +18,11 @@ histogram cost O(n^2) time; both walk the pair table in row blocks of at
 most `space.PAIR_BLOCK_ENTRIES` entries, so their memory is O(n) at any
 population.
 
+Both entry points evaluate the rates at the scaling parameter eps in
+[0, 1]; the scaled dynamics, ``step(..., scaled=True)`` or
+``run_ensemble(..., scaled=True)`` with eps > 0, also multiplies the
+birth rates by 1/eps.
+
 Replicas are independent: replica r is driven by PCG64 seeded with the
 r-th child of ``numpy.random.SeedSequence(seed).spawn(replicas)``, so
 ensembles are reproducible bit-for-bit, may run in parallel, and
@@ -33,11 +38,11 @@ import numpy as np
 
 from .configurations import FiniteConfiguration
 from .errors import SimulationAbort
-from .models import RateModel
+from .models import RateModel, _check_eps
 from .space import Grid, Torus, row_blocks
 
 __all__ = [
-    "SimulationState", "step", "step_scaled", "run_ensemble",
+    "SimulationState", "step", "run_ensemble",
     "PoissonInitial", "FixedInitial", "EmpiricalCorrelations", "EnsembleResult",
 ]
 
@@ -132,14 +137,23 @@ class _Chain:
         return "rejected"
 
 
+def _birth_scale(eps: float, scaled: bool) -> float:
+    """Factor on the birth rates, 1/eps when scaled, else 1; ValueError
+    unless 0 <= eps <= 1, with eps > 0 when scaled."""
+    _check_eps(eps, allow_zero=not scaled)
+    return 1.0 / eps if scaled else 1.0
+
+
 def step(state: SimulationState, model: RateModel, eps: float = 1.0,
-         birth_scale: float = 1.0,
+         scaled: bool = False,
          population_cap: int = DEFAULT_POPULATION_CAP) -> SimulationState:
     """Advance the chain by one proposal (accepted or rejected).
 
-    On an absorbing configuration (zero total rate) the returned state has
-    infinite time and the configuration unchanged.
+    `eps` and `scaled` act as in :func:`run_ensemble`.  On an absorbing
+    configuration (zero total rate) the returned state has infinite time
+    and the configuration unchanged.
     """
+    birth_scale = _birth_scale(eps, scaled)
     rng = state.generator()
     chain = _Chain(model, state.configuration.points, state.time, eps, birth_scale,
                    population_cap)
@@ -148,16 +162,6 @@ def step(state: SimulationState, model: RateModel, eps: float = 1.0,
     cfg = state.configuration if kind in ("rejected", "absorbed") \
         else FiniteConfiguration(chain.points, model.torus)
     return SimulationState(cfg, t, rng.bit_generator.state, state.event_count + 1)
-
-
-def step_scaled(state: SimulationState, model: RateModel, eps: float,
-                population_cap: int = DEFAULT_POPULATION_CAP) -> SimulationState:
-    """One proposal of the scaled dynamics: death rates at eps, birth rates
-    multiplied by 1/eps.  At eps = 1 this is exactly :func:`step`."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
-    return step(state, model, eps=eps, birth_scale=1.0 / eps,
-                population_cap=population_cap)
 
 
 @dataclass(frozen=True)
@@ -283,7 +287,11 @@ def run_ensemble(model: RateModel, initial, T: float, replicas: int, seed: int,
     normalized by the expected pair count of a unit-intensity Poisson
     field (so a Poisson(z) state gives k1 ~ z and k2 ~ z^2).  Snapshots
     before `burn_in` contribute to population statistics only.
+
+    Rates are evaluated at the scaling parameter `eps` in [0, 1];
+    `scaled` (which needs eps > 0) also multiplies the birth rates by 1/eps.
     """
+    birth_scale = _birth_scale(eps, scaled)
     if replicas < 1:
         raise ValueError("need at least one replica")
     if snapshot_times is None:
@@ -293,7 +301,6 @@ def run_ensemble(model: RateModel, initial, T: float, replicas: int, seed: int,
         raise ValueError("snapshot times must be nonnegative and nonempty")
 
     torus = model.torus
-    birth_scale = 1.0 / eps if scaled else 1.0
     width = torus.length / (2.0 * estimator_grid.m)
     pair_edges = np.arange(0.0, torus.length / 2.0 + 0.5 * width, width)
     args = [(model, initial, snap_times, child, eps, birth_scale,

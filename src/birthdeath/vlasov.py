@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import BlowUpError
-from .hierarchy import CorrelationVector, HierarchyConfig, evolve
+from .hierarchy import CorrelationVector, HierarchyConfig, _exp_series, evolve
 from .models import RateModel
 from .space import Grid
 
@@ -72,16 +72,9 @@ def vlasov_rhs_reference(model: RateModel, grid: Grid, rho: np.ndarray,
     else:
         cd = w * (t.Gd @ rho)
         cb = w * (t.Gb @ rho)
-        death_int = t.D1 * _exp_trunc(cd, n_max)
-        birth_int = t.B1 * _exp_trunc(cb, n_max)
+        death_int = t.D1 * _exp_series(cd, 0, n_max)
+        birth_int = t.B1 * _exp_series(cb, 0, n_max)
     return -rho * death_int + birth_int
-
-
-def _exp_trunc(x: np.ndarray, n_max: int) -> np.ndarray:
-    out = np.zeros_like(x)
-    for n in range(n_max + 1):
-        out += x ** n / math.factorial(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -97,14 +90,12 @@ class VlasovResult:
 
 def integrate(model: RateModel, grid: Grid, rho0, T: float, dt: float,
               snapshot_times: Optional[Sequence[float]] = None,
-              alpha_c: Optional[float] = None,
               blowup_sup: float = 1e9) -> VlasovResult:
     """Integrate the mean-field equation with RK4 and spectral convolutions.
 
     Negative undershoots are clipped to zero (with an accumulated-mass
     warning beyond 1e-12); densities above `blowup_sup` or a non-finite
-    state abort the run.  When `alpha_c` is given, leaving that sup-norm
-    ball only emits a warning: membership is monitored, not enforced.
+    state abort the run.
     """
     if T < 0 or dt <= 0:
         raise ValueError("need T >= 0 and dt > 0")
@@ -125,7 +116,6 @@ def integrate(model: RateModel, grid: Grid, rho0, T: float, dt: float,
     times: List[float] = []
     fields: List[VlasovField] = []
     clipped = 0.0
-    warned_ball = False
     if 0 in snap_steps:
         times.append(0.0)
         fields.append(VlasovField(grid, rho.copy(), 0.0))
@@ -143,9 +133,6 @@ def integrate(model: RateModel, grid: Grid, rho0, T: float, dt: float,
             rho = np.maximum(rho, 0.0)
         if not np.all(np.isfinite(rho)) or float(np.max(rho)) > blowup_sup:
             raise BlowUpError(f"density blow-up at t = {step_i * dt:.4f}")
-        if alpha_c is not None and not warned_ball and float(np.max(rho)) > alpha_c:
-            warnings.warn(f"density left the sup-norm ball of radius {alpha_c}", RuntimeWarning)
-            warned_ball = True
         if step_i in snap_steps:
             times.append(step_i * dt)
             fields.append(VlasovField(grid, rho.copy(), step_i * dt))

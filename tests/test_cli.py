@@ -144,6 +144,16 @@ class TestSimulate:
         cfg["run"] = {"T": 1.0, "replicas": 0}
         assert main(["--config", write_config(tmp_path / "c.json", cfg), "simulate"]) == 2
 
+    def test_eps_out_of_range_is_config_error(self, tmp_path, capsys):
+        for i, run in enumerate(({"eps": 0.0, "scaled": True}, {"eps": -0.5}, {"eps": 2.0})):
+            cfg = db_config(tmp_path / f"out{i}", M=16)
+            cfg["run"] = dict(run, T=0.5, replicas=1,
+                              initial={"type": "poisson", "intensity": 0.5})
+            path = write_config(tmp_path / f"c{i}.json", cfg)
+            assert main(["--config", path, "simulate"]) == 2
+            assert "eps" in capsys.readouterr().err
+            assert not (tmp_path / f"out{i}").exists()
+
     def test_missing_initial_is_config_error(self, tmp_path):
         cfg = db_config(tmp_path / "out", M=16)
         cfg["run"] = {"T": 1.0, "replicas": 2}

@@ -20,8 +20,16 @@ class TestFiniteConfiguration:
         assert len(cfg) == 3
 
     def test_distinctness_enforced(self, torus1):
-        with pytest.raises(ValueError):
-            FiniteConfiguration([[0.3], [0.3]], torus1)
+        torus2 = Torus(2, 1.0)
+        for pts, torus in (([[0.3], [0.3]], torus1),
+                           ([[0.3], [0.7], [0.1], [0.3]], torus1),  # apart before sorting
+                           ([[0.25], [1.25]], torus1),              # equal after wrapping
+                           ([[0.5, 0.2], [0.1, 0.9], [0.5, 0.2]], torus2)):
+            with pytest.raises(ValueError, match="distinct"):
+                FiniteConfiguration(pts, torus)
+        # d = 2 rows that share one coordinate are distinct
+        for pts in ([[0.5, 0.2], [0.5, 0.9]], [[0.1, 0.4], [0.7, 0.4], [0.1, 0.8]]):
+            assert len(FiniteConfiguration(pts, torus2)) == len(pts)
 
     def test_union_and_removal_keep_order(self, torus1):
         cfg = FiniteConfiguration([[0.5], [0.2]], torus1)

@@ -139,7 +139,7 @@ def test_glauber_birth_evaluates_phi_once(monkeypatch):
         x, accept, row = model.propose_birth(np.random.default_rng(n), points, 0.7)
         # the location is the proposal's only draw
         assert np.array_equal(x, np.random.default_rng(n).uniform(0.0, torus.length, 2))
-        assert accept == math.exp(0.7 * (model.s - 1.0) * model._phi_sum(x, points))
+        assert accept == math.exp(0.7 * (model.s - 1.0) * model.pair_sum(model.phi, x, points))
         chain = _Chain(model, points, 0.0, 0.7, 1.0, population_cap=10 ** 6)
         assert np.array_equal(row, chain._kernel_at(torus.wrap(x).reshape(1, -1)))
 
@@ -159,21 +159,22 @@ def test_step_follows_the_long_lived_kernel():
     # step rebuilds the pair sums from scratch on every call and keeps the
     # configuration in lexicographic order; a long-lived kernel whose rows
     # are put in the same order after each event must visit the same
-    # configurations at the same times
+    # configurations at the same times, unscaled and scaled (birth x 1/eps)
     model = sparse_glauber()
     points = FiniteConfiguration(
         PoissonInitial(20.0).sample(np.random.default_rng(8), model.torus), model.torus)
-    state = SimulationState.initial(points, seed=31)
-    rng = state.generator()
-    chain = _Chain(model, points.points, 0.0, 1.0, 1.0, population_cap=10 ** 6)
-    for _ in range(400):
-        state = step(state, model)
-        chain.fire(rng, chain.next_time(rng))
-        order = np.lexsort(chain.points.T[::-1])
-        chain.points, chain.sums = chain.points[order], chain.sums[order]
-        assert np.array_equal(state.configuration.points, chain.points)
-        assert state.time == pytest.approx(chain.time, rel=TIME_RTOL, abs=0)
-        assert state.rng_state == rng.bit_generator.state
+    for eps, scaled, birth_scale in ((1.0, False, 1.0), (0.3, True, 1 / 0.3)):
+        state = SimulationState.initial(points, seed=31)
+        rng = state.generator()
+        chain = _Chain(model, points.points, 0.0, eps, birth_scale, population_cap=10 ** 6)
+        for _ in range(400):
+            state = step(state, model, eps=eps, scaled=scaled)
+            chain.fire(rng, chain.next_time(rng))
+            order = np.lexsort(chain.points.T[::-1])
+            chain.points, chain.sums = chain.points[order], chain.sums[order]
+            assert np.array_equal(state.configuration.points, chain.points)
+            assert state.time == pytest.approx(chain.time, rel=TIME_RTOL, abs=0)
+            assert state.rng_state == rng.bit_generator.state
 
 
 class RecordingInitial:

@@ -14,7 +14,7 @@ from birthdeath import (BDLPModel, BoxKernel, CorrelationVector, GaussianKernel,
 from birthdeath.errors import (BlowUpError, ConditionError, StabilityError,
                                TruncationError)
 from birthdeath import hierarchy
-from birthdeath.hierarchy import _apply_tables, _ks_tables, stability_bound
+from birthdeath.hierarchy import _apply_tables, _ks_tables, _stability_guard
 from birthdeath.space import Grid, Torus
 
 
@@ -381,7 +381,7 @@ class TestEvolve:
 
     def test_stability_guard(self, db_model, grid16):
         k0 = CorrelationVector.coherent(grid16, 1.5, 0.3, homogeneous=True)
-        bound = stability_bound(db_model, grid16)
+        bound = _stability_guard(db_model.hierarchy_tables(grid16), k0.order)
         with pytest.raises(StabilityError):
             evolve(db_model, k0, T=1.0, dt=2.1 * bound, check=False)
 

@@ -64,7 +64,7 @@ class TestKernelClosedForms:
         x = np.array([0.3])
         y = np.array([[0.35]])
         eta = FiniteConfiguration(y, torus1)
-        phi_val = float(glauber.phi.value(torus1, x - y[0]))
+        phi_val = float(glauber.phi.radial(torus1.distance(x, y[0])))
         expect = math.exp(glauber.s * phi_val) - 1.0
         got = glauber.k0inv_death(x, FiniteConfiguration.empty(torus1), eta)
         assert got == pytest.approx(expect, abs=1e-14)
@@ -133,7 +133,7 @@ class TestScaledKernels:
         x = np.array([0.3])
         y = np.array([[0.36]])
         eta = FiniteConfiguration(y, torus1)
-        phi_val = float(glauber.phi.value(torus1, x - y[0]))
+        phi_val = float(glauber.phi.radial(torus1.distance(x, y[0])))
         limit = glauber.k0inv_death(x, FiniteConfiguration.empty(torus1), eta, eps=0.0)
         assert limit == pytest.approx(glauber.s * phi_val, abs=1e-14)
 
@@ -222,3 +222,92 @@ class TestModelStructure:
         plain = BDLPModel(torus1, m=1.0, kappa_minus=0.0, kappa_plus=0.0,
                           a_minus=bdlp.a_minus, a_plus=bdlp.a_plus)
         assert plain.name == "bdlp"
+
+
+def radial_of_minimage(kernel, torus, displacement):
+    """Kernel at a displacement as `RadialKernel.value` computed it before the
+    models evaluated `kernel.radial(torus.distance(x, pts))`."""
+    d = torus.minimage(displacement)
+    return kernel.radial(np.sqrt(np.sum(np.asarray(d) ** 2, axis=-1)))
+
+
+def reference_rates(model, x, xi, eta, eps):
+    """(death, birth, k0inv_death, k0inv_birth, |k0inv_death|, |k0inv_birth|)
+    with every kernel value from `radial_of_minimage`; the last two at
+    eps = 1, in the arithmetic of `k0inv_abs_setfunction`."""
+    t = model.torus
+
+    def pair_sum(kernel, pts):
+        if len(pts) == 0:
+            return 0.0
+        return float(np.sum(radial_of_minimage(kernel, t, np.asarray(x) - pts)))
+
+    if isinstance(model, GlauberModel):
+        s_sum = pair_sum(model.phi, xi)
+        vals = radial_of_minimage(model.phi, t, np.asarray(x) - eta)
+
+        def rates(e):
+            death = float(np.exp(e * model.s * s_sum))
+            birth = model.z * math.exp(e * (model.s - 1.0) * s_sum)
+            if len(eta) == 0:
+                return death, birth, death, birth
+            return (death, birth, death * float(np.prod(model._g_death(vals, e))),
+                    birth * float(np.prod(model._g_birth(vals, e))))
+
+        death1, birth1, _, _ = rates(1.0)
+        abs_d, abs_b = abs(death1), abs(birth1)
+        if len(eta):
+            abs_d *= float(np.prod(np.abs(model._g_death(vals, 1.0))))
+            abs_b *= float(np.prod(np.abs(model._g_birth(vals, 1.0))))
+        return rates(eps) + (abs_d, abs_b)
+
+    def rates(e):
+        death = model.m + e * model.kappa_minus * pair_sum(model.a_minus, xi)
+        birth = model.kappa + e * model.kappa_plus * pair_sum(model.a_plus, xi)
+        if len(eta) == 0:
+            return death, birth, death, birth
+        if len(eta) == 1:
+            disp = np.asarray(x) - eta[0]
+            return (death, birth,
+                    model.kappa_minus * float(radial_of_minimage(model.a_minus, t, disp)),
+                    model.kappa_plus * float(radial_of_minimage(model.a_plus, t, disp)))
+        return death, birth, 0.0, 0.0
+
+    return rates(eps) + tuple(abs(v) for v in rates(1.0)[2:])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_rates_match_minimage_kernel_bitwise(dim):
+    # supports reach L/2, so displacements of exactly +-L/2 count
+    torus = Torus(dim, 1.0)
+    box, gauss = BoxKernel(0.4, 0.5), GaussianKernel(0.7, 0.2, 0.5)
+    models = [GlauberModel(torus, s=0.5, z=0.3, phi=box),
+              GlauberModel(torus, s=0.5, z=0.3, phi=gauss),
+              BDLPModel(torus, m=1.0, kappa_minus=0.06, kappa_plus=0.03,
+                        a_minus=box, a_plus=gauss, kappa=0.25),
+              BDLPModel(torus, m=1.0, kappa_minus=0.06, kappa_plus=0.03,
+                        a_minus=gauss, a_plus=box, kappa=0.25)]
+    rng = np.random.default_rng(41)
+    half = np.zeros(dim)
+    half[-1] = 0.5
+    empty = np.empty((0, dim))
+    for x in (np.full(dim, 0.25), rng.uniform(0, 1, dim)):
+        # x + L wraps onto x (displacement 0); x +- L/2 sit on the support edge
+        edge = np.array([x + 1.0, x + half, x - half])
+        others = rng.uniform(0, 1, (4, dim))
+        xis = (empty, edge, np.vstack([edge, others]))
+        etas = (empty, x[None], edge[1:2], np.array([x, x - half]), edge[1:] + 0.0,
+                np.vstack([edge[2], others[0]]))
+        for model in models:
+            for xi in xis:
+                for eta in etas:
+                    sf_eta = FiniteConfiguration._from_array(eta, torus)
+                    for eps in (0.0, 0.3, 1.0):
+                        got = (model.death(x, xi, eps), model.birth(x, xi, eps),
+                               model.k0inv_death(x, xi, eta, eps),
+                               model.k0inv_birth(x, xi, eta, eps),
+                               model.k0inv_abs_setfunction(x, xi, "death")(sf_eta),
+                               model.k0inv_abs_setfunction(x, xi, "birth")(sf_eta))
+                        want = reference_rates(model, x, xi, eta, eps)
+                        assert np.array(got).tobytes() == np.array(want).tobytes(), \
+                            (model, x, xi, eta, eps, got, want)

@@ -7,9 +7,14 @@ from scipy.stats import chisquare
 from birthdeath import (BDLPModel, BoxKernel, FiniteConfiguration, GlauberModel,
                         PoissonInitial, FixedInitial, SimulationState,
                         detailed_balance_bdlp, normalize_on_grid, run_ensemble,
-                        step, step_scaled)
+                        step)
 from birthdeath.errors import SimulationAbort
 from birthdeath.space import Grid, Torus
+
+
+#: (eps, scaled) pairs outside the simulator's range: 0 <= eps <= 1, eps > 0 scaled
+BAD_EPS = ((0.0, True), (-0.5, False), (-0.5, True), (2.0, False), (2.0, True),
+           (math.nan, False))
 
 
 @pytest.fixture
@@ -84,9 +89,18 @@ class TestStep:
         a, b = s0, s0
         for _ in range(8):
             a = step(a, db_model)
-            b = step_scaled(b, db_model, eps=1.0)
+            b = step(b, db_model, eps=1.0, scaled=True)
             assert a.time == b.time
             assert np.array_equal(a.configuration.points, b.configuration.points)
+
+    def test_eps_validated(self, db_model, torus10):
+        pts = np.linspace(0, 10, 6, endpoint=False).reshape(-1, 1)
+        s0 = SimulationState.initial(FiniteConfiguration(pts, torus10), seed=11)
+        for eps, scaled in BAD_EPS:
+            with pytest.raises(ValueError, match="eps"):
+                step(s0, db_model, eps=eps, scaled=scaled)
+        for eps, scaled in ((0.0, False), (0.3, False), (0.3, True), (1.0, True)):
+            assert step(s0, db_model, eps=eps, scaled=scaled).event_count == 1
 
     def test_scaled_bdlp_dispersal_rate_eps_free(self, torus10, kernel10):
         plain = BDLPModel(torus10, m=1.0, kappa_minus=0.0, kappa_plus=0.4,
@@ -211,6 +225,12 @@ class TestEnsemble:
         par = run_ensemble(db_model, threads=2, **kwargs)
         assert np.array_equal(seq.correlations.k1, par.correlations.k1)
         assert np.array_equal(seq.population_mean, par.population_mean)
+
+    def test_validates_eps(self, db_model, grid10):
+        for eps, scaled in BAD_EPS:
+            with pytest.raises(ValueError, match="eps"):
+                run_ensemble(db_model, PoissonInitial(0.6), T=1.0, replicas=1, seed=0,
+                             estimator_grid=grid10, eps=eps, scaled=scaled)
 
     def test_validates_replicas(self, db_model, grid10):
         with pytest.raises(ValueError):
