@@ -496,7 +496,7 @@ def cmd_scale_compare(cfg: dict, args) -> int:
                                         table.errors.ravel()]))})
     write_manifest(out_dir, cfg, "scale-compare", started,
                    {"eps_list": list(map(float, eps_list)), "times": table.times,
-                    "write_csv_s": write_s})
+                    "step_times": table.step_times, "write_csv_s": write_s})
     return 0
 
 

@@ -495,12 +495,46 @@ def stationary_solve(model: RateModel, grid: Grid, C: float,
                             certificate=certificate, residual=residual, report=report)
 
 
+class _TimeSteps:
+    """The RK4 step plan of `evolve` and `vlasov.integrate`: the fewest
+    equal steps (`count` of `dt`, none when T = 0) of at most the given dt
+    that reach T, and `served`, the step nearest to each requested time
+    (default: T).  The state at T is kept too; a kept state is labelled
+    step * dt.  A ValueError names a dt, T or snapshot time out of range."""
+
+    def __init__(self, T: float, dt: float, snapshot_times: Optional[Sequence[float]]):
+        if not (dt > 0 and math.isfinite(dt)):
+            raise ValueError(f"dt = {dt} is not a positive finite time step")
+        if not (T >= 0 and math.isfinite(T)):
+            raise ValueError(f"T = {T} is not a finite time >= 0")
+        requested = [T] if snapshot_times is None else list(snapshot_times)
+        for t in requested:
+            if not 0 <= t <= T + 1e-12:
+                raise ValueError(f"snapshot time {t} lies outside [0, T = {T}]")
+        self.count = max(1, math.ceil(T / dt - 1e-12)) if T > 0 else 0
+        self.dt = T / self.count if self.count else dt
+        self.served = [min(self.count, int(round(t / self.dt))) for t in requested]
+
+    def run(self, state, step: Callable) -> Tuple[List[float], list, List[int]]:
+        """Advance `state` by `step(state, dt, t)`, the state at time t one
+        step on; return the kept times and states, and `served` as indices."""
+        kept = sorted(set(self.served) | {self.count})
+        index = {s: j for j, s in enumerate(kept)}
+        states = [state] if 0 in index else []
+        for i in range(1, self.count + 1):
+            state = step(state, self.dt, i * self.dt)
+            if i in index:
+                states.append(state)
+        return [s * self.dt for s in kept], states, [index[s] for s in self.served]
+
+
 @dataclass(frozen=True)
 class EvolveResult:
     times: List[float]
     snapshots: List[CorrelationVector]
     norms: List[float]
     dt: float
+    served: List[int]        # index in times of the snapshot serving each requested time
 
     def final(self) -> CorrelationVector:
         return self.snapshots[-1]
@@ -508,6 +542,9 @@ class EvolveResult:
 
 def _stability_guard(t: KernelTables, order: int) -> float:
     """Explicit-stepper guard 1 / (2 sup D) over represented configurations."""
+    for name in ("D1", "D2")[:order]:
+        if not np.all(np.isfinite(getattr(t, name))):
+            raise ConditionError(f"hierarchy table {name} holds a non-finite death rate")
     sup_d = float(np.max(t.D1))
     if order >= 2:
         sup_d = max(sup_d, float(np.max(t.D2 + t.D2.T)))
@@ -523,18 +560,20 @@ def evolve(model: RateModel, k0: CorrelationVector, T: float,
     """Integrate the truncated hierarchy ODE with classical RK4.
 
     dt defaults to half the stability guard; an explicit dt above the
-    guard raises.  The Ruelle norm is tracked per step and the run aborts
-    when it exceeds `norm_guard` times the initial norm (a symptom of
-    violated conditions or too large a step).
+    guard raises.  The run takes ceil(T / dt) equal steps; each requested
+    snapshot time (default: T) is served by its nearest step, as `served`
+    records, the state at T is always kept, and a snapshot's time is
+    step * dt.  A dt, T or snapshot time out of range raises ValueError.  The
+    Ruelle norm is tracked per step and the run aborts when it exceeds
+    `norm_guard` times the initial norm (a symptom of violated conditions
+    or too large a step).
     """
-    if T < 0:
-        raise ValueError("T must be >= 0")
     grid = k0.grid
     tables = model.hierarchy_tables(grid, cfg.eps)
     bound = _stability_guard(tables, k0.order)
     if dt is None:
-        dt = 0.5 * bound if T > 0 else bound
-        dt = min(dt, T) if T > 0 else dt
+        dt = min(0.5 * bound, T) if T > 0 else bound
+    steps = _TimeSteps(T, dt, snapshot_times)
     if dt > bound * (1.0 + 1e-12):
         raise StabilityError(f"dt = {dt} exceeds the stability guard {bound}")
 
@@ -545,25 +584,9 @@ def evolve(model: RateModel, k0: CorrelationVector, T: float,
                 f"conditions do not certify the evolution: a1 + a2/C = {report.sum_a:.4f} >= 3/2",
                 RuntimeWarning)
 
-    if T == 0:
-        return EvolveResult([0.0], [k0], [k0.ruelle_norm()], dt)
-
-    n_steps = max(1, math.ceil(T / dt - 1e-12))
-    dt = T / n_steps
-
-    if snapshot_times is None:
-        snap_steps = {n_steps}
-    else:
-        snap_steps = {int(round(t / dt)) for t in snapshot_times}
-
-    times, snaps, norms = [], [], []
-    k = k0
     norm0 = max(k0.ruelle_norm(), 1e-300)
-    if 0 in snap_steps:
-        times.append(0.0)
-        snaps.append(k0)
-        norms.append(k0.ruelle_norm())
-    for step_i in range(1, n_steps + 1):
+
+    def step(k: CorrelationVector, dt: float, t: float) -> CorrelationVector:
         f1 = _apply_tables(tables, k, cfg)
         f2 = _apply_tables(tables, k._lin([(0.5 * dt, f1)]), cfg)
         f3 = _apply_tables(tables, k._lin([(0.5 * dt, f2)]), cfg)
@@ -572,17 +595,12 @@ def evolve(model: RateModel, k0: CorrelationVector, T: float,
         norm = k.ruelle_norm()
         if not np.isfinite(norm) or norm > norm_guard * norm0:
             raise BlowUpError(
-                f"hierarchy norm {norm:.3e} exceeded {norm_guard} x initial at t = {step_i * dt:.4f}; "
+                f"hierarchy norm {norm:.3e} exceeded {norm_guard} x initial at t = {t:.4f}; "
                 "check the sufficient conditions or reduce dt")
-        if step_i in snap_steps:
-            times.append(step_i * dt)
-            snaps.append(k)
-            norms.append(norm)
-    if not times or times[-1] < T - 1e-12:
-        times.append(n_steps * dt)
-        snaps.append(k)
-        norms.append(k.ruelle_norm())
-    return EvolveResult(times, snaps, norms, dt)
+        return k
+
+    times, snaps, served = steps.run(k0, step)
+    return EvolveResult(times, snaps, [k.ruelle_norm() for k in snaps], steps.dt, served)
 
 
 # ---------------------------------------------------------------------------

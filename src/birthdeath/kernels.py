@@ -40,8 +40,8 @@ class RadialKernel:
                           dtype=float)
 
     def pair_table(self, grid: Grid) -> np.ndarray:
-        """Kernel at all pairwise node displacements, shape (N, N)."""
-        return np.asarray(self.radial(grid.distance_table), dtype=float)
+        """Kernel at all pairwise node offsets, shape (N, N): a circulant table."""
+        return self.profile(grid)[grid.offset_index]
 
     def grid_mass(self, grid: Grid) -> float:
         return float(grid.weight * self.profile(grid).sum())

@@ -106,6 +106,9 @@ class _Chain:
         self._d_tot = float(self._rates.sum())
         b_bar = self.birth_scale * self.model.birth_total_bound(len(self.points), self.eps)
         self._total = self._d_tot + b_bar
+        if not math.isfinite(self._total):
+            raise SimulationAbort(f"total event rate {self._total} is not finite at "
+                                  f"t = {self.time:.4f} with {len(self.points)} points")
         if self._total <= 0.0:
             return math.inf
         return self.time + rng.exponential(1.0 / self._total)

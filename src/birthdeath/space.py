@@ -111,13 +111,6 @@ class Grid:
         return pts
 
     @cached_property
-    def distance_table(self) -> np.ndarray:
-        """Pairwise periodic distances between nodes, shape (N, N)."""
-        t = self.torus.distance(self.nodes[:, None, :], self.nodes[None, :, :])
-        t.setflags(write=False)
-        return t
-
-    @cached_property
     def offset_index(self) -> np.ndarray:
         """Integer table O[i, j] = flat index of node_j - node_i (mod L)."""
         idx = np.arange(self.node_count)

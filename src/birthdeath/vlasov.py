@@ -13,7 +13,6 @@ approaches the mean-field trajectory as the scaling parameter shrinks.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -21,7 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import BlowUpError
-from .hierarchy import CorrelationVector, HierarchyConfig, _exp_series, evolve
+from .hierarchy import CorrelationVector, HierarchyConfig, _exp_series, _TimeSteps, evolve
 from .models import RateModel
 from .space import Grid
 
@@ -83,6 +82,7 @@ class VlasovResult:
     fields: List[VlasovField]
     clipped_mass: float
     dt: float
+    served: List[int]        # index in times of the field serving each requested time
 
     def final(self) -> VlasovField:
         return self.fields[-1]
@@ -93,34 +93,21 @@ def integrate(model: RateModel, grid: Grid, rho0, T: float, dt: float,
               blowup_sup: float = 1e9) -> VlasovResult:
     """Integrate the mean-field equation with RK4 and spectral convolutions.
 
-    Negative undershoots are clipped to zero (with an accumulated-mass
-    warning beyond 1e-12); densities above `blowup_sup` or a non-finite
-    state abort the run.
+    Steps and snapshots follow `hierarchy.evolve`: ceil(T / dt) equal
+    steps, each requested time (default: T) served by its nearest step,
+    the density at T always kept, times labelled step * dt, and a
+    ValueError for a dt, T or snapshot time out of range.  Negative
+    undershoots are clipped to zero (with an accumulated-mass warning
+    beyond 1e-12); densities above `blowup_sup` or a non-finite state
+    abort the run.
     """
-    if T < 0 or dt <= 0:
-        raise ValueError("need T >= 0 and dt > 0")
+    steps = _TimeSteps(T, dt, snapshot_times)
     rho = np.broadcast_to(np.asarray(rho0, dtype=float), (grid.node_count,)).astype(float)
     if np.any(rho < 0):
         raise ValueError("initial density must be nonnegative")
 
-    if T == 0:
-        return VlasovResult([0.0], [VlasovField(grid, rho, 0.0)], 0.0, dt)
-
-    n_steps = max(1, math.ceil(T / dt - 1e-12))
-    dt = T / n_steps
-    if snapshot_times is None:
-        snap_steps = {n_steps}
-    else:
-        snap_steps = {int(round(t / dt)) for t in snapshot_times}
-
-    times: List[float] = []
-    fields: List[VlasovField] = []
-    clipped = 0.0
-    if 0 in snap_steps:
-        times.append(0.0)
-        fields.append(VlasovField(grid, rho.copy(), 0.0))
-
-    for step_i in range(1, n_steps + 1):
+    def step(state, dt: float, t: float):
+        rho, clipped = state
         f1 = vlasov_rhs(model, grid, rho)
         f2 = vlasov_rhs(model, grid, rho + 0.5 * dt * f1)
         f3 = vlasov_rhs(model, grid, rho + 0.5 * dt * f2)
@@ -132,18 +119,16 @@ def integrate(model: RateModel, grid: Grid, rho0, T: float, dt: float,
             clipped += under
             rho = np.maximum(rho, 0.0)
         if not np.all(np.isfinite(rho)) or float(np.max(rho)) > blowup_sup:
-            raise BlowUpError(f"density blow-up at t = {step_i * dt:.4f}")
-        if step_i in snap_steps:
-            times.append(step_i * dt)
-            fields.append(VlasovField(grid, rho.copy(), step_i * dt))
+            raise BlowUpError(f"density blow-up at t = {t:.4f}")
+        return rho, clipped
 
-    if not times or times[-1] < T - 1e-12:
-        times.append(T)
-        fields.append(VlasovField(grid, rho.copy(), T))
+    times, states, served = steps.run((rho, 0.0), step)
+    clipped = states[-1][1]
     if clipped > 1e-12:
         warnings.warn(f"clipped {clipped:.3e} units of negative mass during integration",
                       RuntimeWarning)
-    return VlasovResult(times, fields, clipped, dt)
+    fields = [VlasovField(grid, rho, t) for t, (rho, _) in zip(times, states)]
+    return VlasovResult(times, fields, clipped, steps.dt, served)
 
 
 @dataclass(frozen=True)
@@ -152,13 +137,14 @@ class ScalingTable:
 
     errors[i][j] is the truncated weighted sup distance between the
     hierarchy state evolved with scaling parameter eps_list[i] and the
-    Poisson-factorized vector of the mean-field density, at times[j],
-    restricted to orders one and two.
+    Poisson-factorized vector of the mean-field density, at times[j]
+    (the step at step_times[j]), restricted to orders one and two.
     """
 
     eps_list: List[float]
     times: List[float]
     errors: np.ndarray
+    step_times: List[float]
 
     def rows(self):
         for i, eps in enumerate(self.eps_list):
@@ -189,27 +175,25 @@ def scaling_compare(model: RateModel, grid: Grid, eps_list: Sequence[float],
 
     eps = 0 selects the formal limit symbols, whose truncated hierarchy
     with the Poisson closure reproduces the mean-field flow up to the
-    kernel-order truncation.
+    kernel-order truncation.  Each requested time (default: T) is compared
+    at its nearest step, as in `hierarchy.evolve`; the table keeps the
+    requested times and their steps' times as `step_times`.
     """
     rho0 = np.broadcast_to(np.asarray(rho0, dtype=float), (grid.node_count,)).astype(float)
     if homogeneous is None:
         homogeneous = bool(np.all(rho0 == rho0[0]))
-    if snapshot_times is None:
-        snapshot_times = [T]
-    snapshot_times = list(snapshot_times)
+    snapshot_times = [T] if snapshot_times is None else list(snapshot_times)
 
     field = integrate(model, grid, rho0, T, dt, snapshot_times=snapshot_times)
-    rho_at = {round(t / field.dt): f.rho for t, f in zip(field.times, field.fields)}
+    rho_at = [field.fields[j].rho for j in field.served]
 
     k0 = CorrelationVector.coherent(grid, C, rho0, order=2, homogeneous=homogeneous)
-    col_of = {round(t / field.dt): j for j, t in enumerate(snapshot_times)}
-    errors = np.zeros((len(eps_list), len(snapshot_times)))
+    errors = np.empty((len(eps_list), len(snapshot_times)))
     for i, eps in enumerate(eps_list):
         cfg = HierarchyConfig(zeta_max=zeta_max, closure=closure, eps=float(eps))
         run = evolve(model, k0, T, dt=dt, cfg=cfg,
                      snapshot_times=snapshot_times, check=False)
-        for t, snap in zip(run.times, run.snapshots):
-            step = round(t / field.dt)
-            if step in col_of and step in rho_at:
-                errors[i, col_of[step]] = coherent_distance(snap, rho_at[step])
-    return ScalingTable(list(map(float, eps_list)), snapshot_times, errors)
+        errors[i] = [coherent_distance(run.snapshots[j], rho)
+                     for j, rho in zip(run.served, rho_at)]
+    return ScalingTable(list(map(float, eps_list)), snapshot_times, errors,
+                        [field.times[j] for j in field.served])

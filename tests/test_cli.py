@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -164,6 +165,19 @@ class TestSimulate:
         cfg["run"] = {"T": -1.0, "dt": 0.01, "initial_density": 0.2}
         assert main(["--config", write_config(tmp_path / "c.json", cfg), "vlasov"]) == 2
 
+    def test_rate_overflow_aborts(self, tmp_path, capsys):
+        # exp(s * sum of phi) overflows once two points are within the box
+        cfg = glauber_config(tmp_path / "out", z=5.0, s=1.0)
+        cfg["model"]["phi"]["height"] = 800.0
+        cfg["run"] = {"T": 1.0, "replicas": 1, "seed": 3,
+                      "initial": {"type": "poisson", "intensity": 5.0}}
+        with np.errstate(over="ignore"):
+            code = main(["--config", write_config(tmp_path / "c.json", cfg), "simulate"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1
+        assert lines[0].startswith("aborted: total event rate inf is not finite")
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg = db_config(tmp_path / "outA", M=16)
         cfg["space"]["L"] = 5.0
@@ -225,6 +239,51 @@ class TestHierarchy:
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+    def test_non_finite_tables_are_named(self, tmp_path, capsys):
+        cfg = glauber_config(tmp_path / "out", z=5.0, s=1.0)
+        cfg["model"]["phi"]["height"] = 800.0
+        cfg["run"] = {"T": 1.0, "dt": 0.05, "initial_density": 0.2}
+        with np.errstate(over="ignore"):
+            code = main(["--config", write_config(tmp_path / "c.json", cfg),
+                         "hierarchy", "evolve"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("aborted: hierarchy table D2 holds a non-finite")
+
+
+class TestTimeValues:
+    """A bad T, dt or snapshot time exits 2 before any output exists."""
+
+    @pytest.mark.parametrize("command,run,named", [
+        (["scale-compare"], {"T": 0.3, "dt": 0.05, "eps_list": [1.0, 0.1],
+                             "snapshot_times": [0.1, 0.11, 0.5]}, "snapshot time 0.5"),
+        (["hierarchy", "evolve"], {"T": 1.0, "dt": -0.1}, "dt = -0.1"),
+        (["vlasov"], {"T": 0.3, "dt": 0.05, "snapshot_times": [0.12, 0.5]},
+         "snapshot time 0.5"),
+        (["vlasov"], {"T": math.inf, "dt": 0.05}, "T = inf"),
+    ])
+    def test_rejected(self, tmp_path, capsys, command, run, named):
+        cfg = glauber_config(tmp_path / "out")
+        cfg["run"] = dict(run, initial_density=0.2)
+        assert main(["--config", write_config(tmp_path / "c.json", cfg), *command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert not (tmp_path / "out").exists()
+
+    def test_times_sharing_a_step(self, tmp_path):
+        cfg = glauber_config(tmp_path / "out")
+        cfg["run"] = {"T": 0.3, "dt": 0.05, "initial_density": 0.2, "eps_list": [1.0, 0.1],
+                      "snapshot_times": [0.1, 0.11]}
+        assert main(["--config", write_config(tmp_path / "c.json", cfg), "scale-compare"]) == 0
+        _, rows = read_csv(tmp_path / "out" / "errors.csv")
+        assert [r[:2] for r in rows] == [[1.0, 0.1], [1.0, 0.11], [0.1, 0.1], [0.1, 0.11]]
+        for first, second in (rows[:2], rows[2:]):
+            assert first[2] == second[2] > 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["times"] == [0.1, 0.11]
+        assert manifest["step_times"] == [2 * 0.3 / 6] * 2
 
 
 class TestVlasovCli:

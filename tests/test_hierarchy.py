@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from dataclasses import replace
@@ -161,7 +162,9 @@ class TestDualGeneratorOracle:
         cases.append(("none", 0))
         calls = [(apply_dual_generator, eps) for eps in (1.0, 0.3, 0.0)]
         calls.append((ks_operator, 1.0))    # S always uses the eps = 1 kernels
-        for torus, m in ((Torus(1, 1.0), 16), (Torus(2, 1.0), 8)):
+        # M = 20 puts the Gaussian cutoffs 0.3 and 0.35 on node distances,
+        # where every pair at one offset must still get one kernel value
+        for torus, m in ((Torus(1, 1.0), 16), (Torus(1, 1.0), 20), (Torus(2, 1.0), 8)):
             grid = Grid(torus, m)
             for model in oracle_models(torus):
                 for order in (1, 2):
@@ -241,6 +244,45 @@ class TestDualGeneratorOracle:
         assert (n_shared, n_separate) == (2, 4)
         for a, b in zip(shared, separate):
             assert np.array_equal(a.k1, b.k1) and np.array_equal(a.k2, b.k2)
+
+
+TIE_GRIDS = ((1, 20), (1, 40), (2, 20))
+
+
+def box_models(torus, grid):
+    """Box kernels of radius 0.1, a whole number of spacings on the tie grids."""
+    a = normalize_on_grid(BoxKernel(1.0, 0.1), grid)
+    return [GlauberModel(torus, s=0.5, z=0.3, phi=BoxKernel(0.4, 0.1)),
+            BDLPModel(torus, m=1.0, kappa_minus=0.4, kappa_plus=0.3,
+                      a_minus=a, a_plus=a, kappa=0.2)]
+
+
+class TestTranslationInvariantTables:
+    # on these grids a box edge falls on node distances, where distances
+    # computed pair by pair differ in the last bit between pairs at one offset
+    @pytest.mark.parametrize("dim,m", TIE_GRIDS)
+    def test_tables_are_gathered_profiles(self, dim, m):
+        torus = Torus(dim, 1.0)
+        grid = Grid(torus, m)
+        kernel = BoxKernel(0.4, 0.1)
+        assert np.array_equal(kernel.pair_table(grid), kernel.profile(grid)[grid.offset_index])
+        for model in box_models(torus, grid):
+            tables = model.hierarchy_tables(grid, eps=0.5)
+            for f in dataclasses.fields(tables):
+                table = getattr(tables, f.name)
+                if isinstance(table, np.ndarray) and table.ndim == 2:
+                    assert np.array_equal(table, table[0][grid.offset_index]), (model.name, f.name)
+
+    @pytest.mark.parametrize("dim,m", TIE_GRIDS)
+    def test_dense_run_keeps_constant_density(self, dim, m):
+        torus = Torus(dim, 1.0)
+        grid = Grid(torus, m)
+        for model in box_models(torus, grid):
+            k0 = CorrelationVector.coherent(grid, 1.5, 0.2, homogeneous=False)
+            run = evolve(model, k0, T=0.2, snapshot_times=[0.1, 0.2], check=False)
+            for k in run.snapshots:
+                assert np.all(k.k1 == k.k1[0]), model.name
+            assert run.final().k1[0] != 0.2
 
 
 class TestDuality:

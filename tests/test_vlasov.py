@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from birthdeath import (BDLPModel, BoxKernel, GlauberModel, normalize_on_grid,
+from birthdeath import (BDLPModel, BoxKernel, CorrelationVector, GlauberModel,
+                        evolve, normalize_on_grid,
                         scaling_compare, vlasov_rhs, vlasov_rhs_reference)
 from birthdeath.errors import BlowUpError
 from birthdeath.space import Grid, Torus
@@ -115,6 +116,64 @@ class TestIntegrate:
         res = integrate(glauber, grid64, 0.2, T=1.0, dt=0.01,
                         snapshot_times=[0.5, 1.0])
         assert [f.time for f in res.fields] == pytest.approx([0.5, 1.0])
+
+
+class TestTimeSteps:
+    """`evolve` and `integrate` share one step plan and one snapshot rule."""
+
+    @pytest.mark.parametrize("snapshot_times", [
+        None,                     # T alone
+        [0.1, 0.2],               # on steps; T is not requested
+        [0.12, 0.3],              # off-step: the nearest step serves 0.12
+        [0.1, 0.11, 0.1],         # duplicates share a step
+        [0.3, 0.0, 0.15],         # unsorted, with t = 0
+    ])
+    def test_engines_share_times(self, glauber, grid16, snapshot_times):
+        k0 = CorrelationVector.coherent(grid16, 1.5, 0.2, homogeneous=True)
+        run = evolve(glauber, k0, T=0.3, dt=0.05, snapshot_times=snapshot_times, check=False)
+        field = integrate(glauber, grid16, 0.2, T=0.3, dt=0.05, snapshot_times=snapshot_times)
+        assert run.times == field.times == [f.time for f in field.fields]
+        assert run.dt == field.dt == 0.3 / 6
+        assert run.served == field.served
+        requested = [0.3] if snapshot_times is None else snapshot_times
+        assert len(run.served) == len(requested)
+        for t, j in zip(requested, run.served):
+            assert run.times[j] == round(t / run.dt) * run.dt
+        # the state at T is kept and labelled 6 * dt, requested or not
+        assert run.times[-1] == 6 * run.dt
+        assert run.times == sorted(set(run.times))
+
+    def test_time_zero_keeps_dt(self, glauber, grid16):
+        k0 = CorrelationVector.coherent(grid16, 1.5, 0.2, homogeneous=True)
+        run = evolve(glauber, k0, T=0.0, dt=0.05, snapshot_times=[0.0, 0.0], check=False)
+        field = integrate(glauber, grid16, 0.2, T=0.0, dt=0.05, snapshot_times=[0.0, 0.0])
+        assert run.times == field.times == [0.0]
+        assert run.dt == field.dt == 0.05
+        assert run.served == field.served == [0, 0]
+
+    @pytest.mark.parametrize("T,dt,snapshot_times,named", [
+        (1.0, 0.0, None, "dt = 0.0"),
+        (1.0, -0.1, None, "dt = -0.1"),
+        (1.0, math.nan, None, "dt = nan"),
+        (1.0, math.inf, None, "dt = inf"),
+        (-1.0, 0.1, None, "T = -1.0"),
+        (math.inf, 0.1, None, "T = inf"),
+        (math.nan, 0.1, None, "T = nan"),
+        (0.3, 0.05, [0.1, 0.5], "snapshot time 0.5"),
+        (0.3, 0.05, [-0.1], "snapshot time -0.1"),
+        (0.3, 0.05, [math.nan], "snapshot time nan"),
+        (0.3, 0.05, [math.inf], "snapshot time inf"),
+    ])
+    def test_bad_times_raise(self, glauber, grid16, T, dt, snapshot_times, named):
+        k0 = CorrelationVector.coherent(grid16, 1.5, 0.2, homogeneous=True)
+        with pytest.raises(ValueError, match=named):
+            evolve(glauber, k0, T=T, dt=dt, snapshot_times=snapshot_times, check=False)
+        with pytest.raises(ValueError, match=named):
+            integrate(glauber, grid16, 0.2, T=T, dt=dt, snapshot_times=snapshot_times)
+
+    def test_snapshot_within_rounding_of_T(self, glauber, grid16):
+        field = integrate(glauber, grid16, 0.2, T=0.3, dt=0.05, snapshot_times=[0.3 + 1e-13])
+        assert field.served == [0] and field.times == [6 * field.dt]
 
 
 class TestScalingCompare:
