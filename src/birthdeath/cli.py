@@ -23,7 +23,8 @@ from .conditions import check_conditions, verify_kernel_bounds
 from .configurations import FiniteConfiguration
 from .errors import (BirthDeathError, BlowUpError, ConditionError, ConfigError,
                      KernelBoundError, SimulationAbort, StabilityError)
-from .hierarchy import CorrelationVector, HierarchyConfig, evolve, stationary_solve
+from .hierarchy import (CorrelationVector, HierarchyConfig, _check_horizon, evolve,
+                        stationary_solve)
 from .kernels import BoxKernel, GaussianKernel, normalize_on_grid
 from .models import BDLPModel, GlauberModel
 from .simulate import REPLICA_SEEDING, FixedInitial, PoissonInitial, run_ensemble
@@ -375,6 +376,15 @@ def cmd_simulate(cfg: dict, args) -> int:
     return 0
 
 
+def _snapshot_times(run: dict, T: float):
+    """The configured snapshot times, else `snapshots` equally spaced times
+    on [0, T], built only once T is known to be a finite time >= 0."""
+    if run.get("snapshot_times"):
+        return run["snapshot_times"]
+    _check_horizon(T)
+    return list(np.linspace(0.0, T, int(run.get("snapshots", 5))))
+
+
 def _hierarchy_setup(cfg: dict):
     torus, grid = build_space(cfg)
     model = build_model(cfg, torus, grid)
@@ -393,7 +403,7 @@ def cmd_hierarchy_evolve(cfg: dict, args) -> int:
     hcfg = HierarchyConfig(zeta_max=weights["zeta_max"], closure=weights["closure"],
                            eps=float(run.get("eps", 1.0)))
     T = float(_need(run, "T", "run"))
-    snaps = run.get("snapshot_times") or list(np.linspace(0.0, T, int(run.get("snapshots", 5))))
+    snaps = _snapshot_times(run, T)
     evolve_started = time.perf_counter()
     result = evolve(model, k0, T, dt=run.get("dt"), cfg=hcfg, snapshot_times=snaps)
     evolve_s = time.perf_counter() - evolve_started
@@ -460,7 +470,7 @@ def cmd_vlasov(cfg: dict, args) -> int:
     rho0 = _initial_density(run, grid)
     T = float(_need(run, "T", "run"))
     dt = float(_need(run, "dt", "run"))
-    snaps = run.get("snapshot_times") or list(np.linspace(0.0, T, int(run.get("snapshots", 5))))
+    snaps = _snapshot_times(run, T)
     result = integrate_vlasov(model, grid, rho0, T, dt, snapshot_times=snaps)
 
     out_dir = _out_dir(cfg, args)
@@ -530,11 +540,14 @@ _DISPATCH = {
     "scale-compare": cmd_scale_compare,
 }
 
+# Built once per process: parsing only reads the parser, and `main` may
+# run many times in one process (building it costs about 1 ms per call).
+_PARSER = build_parser()
+
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -13,25 +13,27 @@ are supplied by a closure rule: `zero` drops them, `poisson` peels excess
 points into density factors (exact on coherent vectors, i.e. on
 Poisson-factorized states).
 
-The operators run in one of two layouts, chosen by the state.  A general
-state holds an (N, N) pair table and every kernel integral is a dense
-matrix product.  A homogeneous (translation-invariant) state has a
-constant density and a pair function of the node offset; every kernel
-table is a radial function of the offset too, so all tables involved are
-circulant and each is carried by its row 0, a length-N offset profile.
-Kernel compositions then become periodic convolutions by FFT, row sums
-become dot products and transposition becomes the offset reversal
-o -> -o, so one application costs O(N log N) and holds only length-N
-rows.  The dense layout is the reference the homogeneous one is tested
-against.
+The operators run in one of two layouts, chosen by the state.  Every
+kernel table is a radial function of the node offset, so the models hand
+each over as its length-N offset profile (see `KernelTables`).  A general
+state holds an (N, N) pair table; its layout gathers each profile into
+an (N, N) table once per run, and every kernel integral is a dense matrix
+product.  A homogeneous (translation-invariant) state has a constant
+density and a pair function of the node offset, so all tables involved
+are circulant and each is carried by its row 0, which is the profile
+itself.  Kernel compositions then become periodic convolutions by FFT,
+row sums become dot products and transposition becomes the offset
+reversal o -> -o, so one application costs O(N log N) and a run holds
+only length-N rows.  The dense layout is the reference the homogeneous
+one is tested against.
 """
 from __future__ import annotations
 
 import functools
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -216,12 +218,33 @@ def _exp_series(x: np.ndarray, j_lo: int, j_hi: int, shift: int = 0) -> np.ndarr
     return out
 
 
-class _DenseLayout:
-    """Operands as stored: (N, N) tables indexed by node pairs."""
+class _Layout:
+    """The operands of one run: the kernel tables `t` in the layout of its
+    states, and `diag`, the total death rate D2 + D2^T of a pair in the
+    same layout, formed on first use.  Every array is read-only."""
 
-    def __init__(self, grid: Grid):
+    t: KernelTables
+    rows: int
+    w: float
+
+    def transpose(self, a: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    @functools.cached_property
+    def diag(self) -> np.ndarray:
+        diag = self.t.D2 + self.transpose(self.t.D2)
+        diag.setflags(write=False)
+        return diag
+
+
+class _DenseLayout(_Layout):
+    """Operands as stored: (N, N) tables indexed by node pairs, each
+    gathered once from its offset profile, `profile[grid.offset_index]`."""
+
+    def __init__(self, t: KernelTables, grid: Grid):
         self.rows = grid.node_count
         self.w = grid.weight
+        self.t = t.map_pairs(lambda p: p[grid.offset_index])
 
     def wmatmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Quadrature of a kernel composition, w * (a @ b)."""
@@ -231,23 +254,25 @@ class _DenseLayout:
         return a.T
 
 
-class _CirculantLayout:
+class _CirculantLayout(_Layout):
     """Operands of a homogeneous state, each carried by its row 0.
 
     A table with A[i, j] = a[offset(i, j)] is circulant and its row 0 is
-    the offset profile a; a constant vector is carried by its entry 0.
-    Elementwise products, row sums, broadcasts and products A[:1] @ k1 with
-    the full-length density keep this form, so the dense formulas apply
-    unchanged to the (1, N) and (1,) slices; only
+    the offset profile a, so `t` holds each profile as it is, as a (1, N)
+    row, and no (N, N) array is made; a constant vector is carried by its
+    entry 0.  Elementwise products, row sums, broadcasts and products
+    A[:1] @ k1 with the full-length density keep this form, so the dense
+    formulas apply unchanged to the (1, N) and (1,) slices; only
     compositions (periodic convolutions) and transposition (the offset
     reversal o -> -o) differ.
     """
 
     rows = 1
 
-    def __init__(self, grid: Grid):
+    def __init__(self, t: KernelTables, grid: Grid):
         self.grid = grid
         self.w = grid.weight
+        self.t = replace(t.map_pairs(lambda p: p[None, :]), D1=t.D1[:1], B1=t.B1[:1])
 
     def wmatmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return circular_convolve(self.grid, a, b)[None, :]
@@ -256,19 +281,14 @@ class _CirculantLayout:
         return a[:, self.grid.negated_offset]
 
 
-_Layout = Union[_DenseLayout, _CirculantLayout]
+def _layout(t: KernelTables, grid: Grid, homogeneous: bool) -> _Layout:
+    """The operands of one run: the tables in the layout of its states."""
+    return (_CirculantLayout if homogeneous else _DenseLayout)(t, grid)
 
 
-def _operands(t: KernelTables, k: CorrelationVector,
-              closure: str) -> Tuple[_Layout, KernelTables, np.ndarray]:
-    """Layout, the tables restricted to its rows, and the pair table of k,
-    with the closure standing in for it at order one."""
-    if k.homogeneous:
-        lay = _CirculantLayout(k.grid)
-        t = replace(t, **{f.name: getattr(t, f.name)[:1] for f in fields(t)
-                          if isinstance(getattr(t, f.name), np.ndarray)})
-    else:
-        lay = _DenseLayout(k.grid)
+def _pair_operand(lay: _Layout, k: CorrelationVector, closure: str) -> np.ndarray:
+    """The pair table of k in the layout's rows, with the closure standing
+    in for it at order one."""
     n = k.grid.node_count
     if k.order >= 2:
         k2e = k.k2.reshape(lay.rows, n)
@@ -276,7 +296,7 @@ def _operands(t: KernelTables, k: CorrelationVector,
         k2e = np.outer(k.k1[:lay.rows], k.k1)
     else:
         k2e = np.zeros((lay.rows, n))
-    return lay, t, k2e
+    return k2e
 
 
 def _require_closure(cfg: HierarchyConfig) -> None:
@@ -370,17 +390,17 @@ def _pack_like(k: CorrelationVector, out1: np.ndarray,
     return replace(k, k0=0.0, k1=out1, k2=out2)
 
 
-def _apply_tables(t: KernelTables, k: CorrelationVector, cfg: HierarchyConfig) -> CorrelationVector:
+def _apply_tables(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig) -> CorrelationVector:
     _require_closure(cfg)
-    lay, t, k2e = _operands(t, k, cfg.closure)
+    t = lay.t
+    k2e = _pair_operand(lay, k, cfg.closure)
     gb_k2 = _gb_k2(t, lay, k2e)
     death_tail1, birth1 = _order1_parts(t, lay, k, k2e, gb_k2, cfg)
     out1 = -t.D1 * k.k1[:lay.rows] - death_tail1 + birth1
     out2 = None
     if k.order >= 2:
         death_tail2, birth2 = _order2_parts(t, lay, k, k2e, gb_k2, cfg)
-        diag = t.D2 + lay.transpose(t.D2)
-        out2 = -k2e * diag - death_tail2 + birth2
+        out2 = -k2e * lay.diag - death_tail2 + birth2
     return _pack_like(k, out1, out2)
 
 
@@ -392,17 +412,18 @@ def apply_dual_generator(model: RateModel, k: CorrelationVector,
     is conserved by the induced flow.
     """
     tables = model.hierarchy_tables(k.grid, cfg.eps)
-    return _apply_tables(tables, k, cfg)
+    return _apply_tables(_layout(tables, k.grid, k.homogeneous), k, cfg)
 
 
-def _ks_tables(t: KernelTables, k: CorrelationVector, cfg: HierarchyConfig,
+def _ks_tables(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig,
                model_name: str) -> CorrelationVector:
     _require_closure(cfg)
+    t = lay.t
     if np.min(t.D1) <= 0.0:
         raise ConditionError(
             f"model {model_name} has vanishing death rate at the empty "
             "configuration; the Kirkwood-Salzburg operator requires d(x, {}) > 0")
-    lay, t, k2e = _operands(t, k, cfg.closure)
+    k2e = _pair_operand(lay, k, cfg.closure)
     gb_k2 = _gb_k2(t, lay, k2e)
     death_tail1, birth1 = _order1_parts(t, lay, k, k2e, gb_k2, cfg)
     out1 = (-death_tail1 + birth1) / t.D1
@@ -410,7 +431,7 @@ def _ks_tables(t: KernelTables, k: CorrelationVector, cfg: HierarchyConfig,
     if k.order >= 2:
         # a circulant profile holds every entry of its table, so the
         # minimum over the profile is the minimum over all pairs
-        denom = t.D2 + lay.transpose(t.D2)
+        denom = lay.diag
         if np.min(denom) <= 0.0:
             raise ConditionError(f"model {model_name} has vanishing total death rate on a pair")
         death_tail2, birth2 = _order2_parts(t, lay, k, k2e, gb_k2, cfg)
@@ -428,7 +449,7 @@ def ks_operator(model: RateModel, k: CorrelationVector,
     unscaled (eps = 1) kernels.
     """
     tables = model.hierarchy_tables(k.grid, eps=1.0)
-    return _ks_tables(tables, k, cfg, model.name)
+    return _ks_tables(_layout(tables, k.grid, k.homogeneous), k, cfg, model.name)
 
 
 @dataclass(frozen=True)
@@ -471,10 +492,11 @@ def stationary_solve(model: RateModel, grid: Grid, C: float,
     e_norm = float(np.max(np.abs(e1), initial=0.0)) / C
 
     threshold = tol * (1.0 - q) / q if q > 0 else tol
+    lay = _layout(tables, grid, homogeneous)
     k = CorrelationVector.zero(grid, C, order=2, homogeneous=homogeneous)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        nxt = _ks_tables(tables, k, cfg, model.name)
+        nxt = _ks_tables(lay, k, cfg, model.name)
         nxt = replace(nxt, k1=nxt.k1 + e1)
         inc = nxt.diff_norm(k)
         k = nxt
@@ -483,7 +505,7 @@ def stationary_solve(model: RateModel, grid: Grid, C: float,
     else:
         raise ConditionError(f"stationary iteration did not converge in {max_iter} steps")
 
-    resid_vec = _ks_tables(tables, k, cfg, model.name)
+    resid_vec = _ks_tables(lay, k, cfg, model.name)
     residual = max(
         float(np.max(np.abs(resid_vec.k1 + e1 - k.k1), initial=0.0)) / C,
         float(np.max(np.abs(resid_vec.k2 - k.k2), initial=0.0)) / C ** 2
@@ -493,6 +515,12 @@ def stationary_solve(model: RateModel, grid: Grid, C: float,
     k_inv = replace(k, k0=1.0)
     return StationaryResult(k_inv=k_inv, iterations=iterations, q=q,
                             certificate=certificate, residual=residual, report=report)
+
+
+def _check_horizon(T: float) -> None:
+    """A ValueError unless T is a finite time >= 0."""
+    if not (T >= 0 and math.isfinite(T)):
+        raise ValueError(f"T = {T} is not a finite time >= 0")
 
 
 class _TimeSteps:
@@ -505,8 +533,7 @@ class _TimeSteps:
     def __init__(self, T: float, dt: float, snapshot_times: Optional[Sequence[float]]):
         if not (dt > 0 and math.isfinite(dt)):
             raise ValueError(f"dt = {dt} is not a positive finite time step")
-        if not (T >= 0 and math.isfinite(T)):
-            raise ValueError(f"T = {T} is not a finite time >= 0")
+        _check_horizon(T)
         requested = [T] if snapshot_times is None else list(snapshot_times)
         for t in requested:
             if not 0 <= t <= T + 1e-12:
@@ -540,14 +567,18 @@ class EvolveResult:
         return self.snapshots[-1]
 
 
-def _stability_guard(t: KernelTables, order: int) -> float:
-    """Explicit-stepper guard 1 / (2 sup D) over represented configurations."""
+def _stability_guard(t: KernelTables, grid: Grid, order: int) -> float:
+    """Explicit-stepper guard 1 / (2 sup D) over represented configurations.
+
+    The pair total D2 + D2^T at offset o is p[o] + p[-o] for the profile
+    p, and every offset occurs in the pair table, so the profile gives the
+    supremum over all pairs."""
     for name in ("D1", "D2")[:order]:
         if not np.all(np.isfinite(getattr(t, name))):
             raise ConditionError(f"hierarchy table {name} holds a non-finite death rate")
     sup_d = float(np.max(t.D1))
     if order >= 2:
-        sup_d = max(sup_d, float(np.max(t.D2 + t.D2.T)))
+        sup_d = max(sup_d, float(np.max(t.D2 + t.D2[grid.negated_offset])))
     return 1.0 / (2.0 * sup_d) if sup_d > 0 else math.inf
 
 
@@ -570,7 +601,7 @@ def evolve(model: RateModel, k0: CorrelationVector, T: float,
     """
     grid = k0.grid
     tables = model.hierarchy_tables(grid, cfg.eps)
-    bound = _stability_guard(tables, k0.order)
+    bound = _stability_guard(tables, grid, k0.order)
     if dt is None:
         dt = min(0.5 * bound, T) if T > 0 else bound
     steps = _TimeSteps(T, dt, snapshot_times)
@@ -585,12 +616,13 @@ def evolve(model: RateModel, k0: CorrelationVector, T: float,
                 RuntimeWarning)
 
     norm0 = max(k0.ruelle_norm(), 1e-300)
+    lay = _layout(tables, grid, k0.homogeneous)
 
     def step(k: CorrelationVector, dt: float, t: float) -> CorrelationVector:
-        f1 = _apply_tables(tables, k, cfg)
-        f2 = _apply_tables(tables, k._lin([(0.5 * dt, f1)]), cfg)
-        f3 = _apply_tables(tables, k._lin([(0.5 * dt, f2)]), cfg)
-        f4 = _apply_tables(tables, k._lin([(dt, f3)]), cfg)
+        f1 = _apply_tables(lay, k, cfg)
+        f2 = _apply_tables(lay, k._lin([(0.5 * dt, f1)]), cfg)
+        f3 = _apply_tables(lay, k._lin([(0.5 * dt, f2)]), cfg)
+        f4 = _apply_tables(lay, k._lin([(dt, f3)]), cfg)
         k = k._lin([(dt / 6.0, f1), (dt / 3.0, f2), (dt / 3.0, f3), (dt / 6.0, f4)])
         norm = k.ruelle_norm()
         if not np.isfinite(norm) or norm > norm_guard * norm0:
@@ -618,7 +650,8 @@ def apply_forward_generator(model: RateModel, G: QuasiObservable,
     adjointness check against :func:`apply_dual_generator`.
     """
     grid = G.grid
-    t = model.hierarchy_tables(grid, eps)
+    lay = _DenseLayout(model.hierarchy_tables(grid, eps), grid)
+    t = lay.t
     w = grid.weight
     g1, g2 = G.g1, G.g2
 
@@ -636,7 +669,7 @@ def apply_forward_generator(model: RateModel, G: QuasiObservable,
             + w * np.einsum("ga,ga->a", g2, t.B2))
 
     dterm = g1[:, None] * kd1
-    death2 = -(dterm + dterm.T) - g2 * (t.D2 + t.D2.T)
+    death2 = -(dterm + dterm.T) - g2 * lay.diag
     if t.structure == "separable":
         birth_pair = w * np.einsum("ga,ga,gb->ab", g2, t.B2, t.Gb)
         birth_empty = w * np.einsum("g,ga,gb->ab", g1 * t.B1, t.Gb, t.Gb)

@@ -39,10 +39,6 @@ class RadialKernel:
         return np.asarray(self.radial(grid.torus.distance(grid.nodes, 0.0 * grid.nodes[0])),
                           dtype=float)
 
-    def pair_table(self, grid: Grid) -> np.ndarray:
-        """Kernel at all pairwise node offsets, shape (N, N): a circulant table."""
-        return self.profile(grid)[grid.offset_index]
-
     def grid_mass(self, grid: Grid) -> float:
         return float(grid.weight * self.profile(grid).sum())
 

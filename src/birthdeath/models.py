@@ -11,7 +11,7 @@ immigration term.  Each model carries closed forms for
 * the inverse-transform kernels of the rates, renormalized by the
   mean-field scaling parameter eps (eps = 1 is the unscaled dynamics,
   eps = 0 the formal mean-field limit symbols),
-* dense kernel tables consumed by the hierarchy operators,
+* the kernel tables of the hierarchy operators, as offset profiles,
 * dominating proposal measures for exact thinning in the event simulator,
 * the growth constants of the death intensity.
 
@@ -22,7 +22,7 @@ constant mortality and immigration terms stay fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -41,13 +41,21 @@ def _as_points(obj, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelTables:
-    """Dense kernel data on a grid, the input of the hierarchy operators.
+    """Kernel data on a grid, the input of the hierarchy operators.
 
-    `D1[i]`, `B1[i]` are the rates at node i given the empty configuration;
-    `D2[i, j]`, `B2[i, j]` given the single other point j.  For `separable`
-    structure the renormalized kernels factor as base * prod g(x - y) with
-    per-point tables `Gd`, `Gb`; for `support_one` the kernels vanish
-    beyond singletons and `Ad`, `Ab` hold the singleton entries.
+    `D1[i]`, `B1[i]` are the rates at node i given the empty configuration.
+    Every other table is a radial function of the node offset and is held
+    as its length-N offset profile: `D2[o]`, `B2[o]` are the rates at a
+    node given the single other point at offset o from it, so the pair
+    table is `D2[grid.offset_index]`.  For `separable` structure the
+    renormalized kernels factor as base * prod g(x - y) with per-point
+    profiles `Gd`, `Gb`; for `support_one` the kernels vanish beyond
+    singletons and `Ad`, `Ab` hold the singleton entries.
+
+    The hierarchy layouts keep the same fields in their own form (pair
+    tables gathered to (N, N), or (1, N) rows).  Every array is held
+    read-only, so a table shared between operator applications cannot be
+    written in place.
     """
 
     structure: str  # "separable" | "support_one"
@@ -60,6 +68,22 @@ class KernelTables:
     Gb: Optional[np.ndarray] = None
     Ad: Optional[np.ndarray] = None
     Ab: Optional[np.ndarray] = None
+
+    #: the fields that hold pair kernels (offset profiles as built)
+    PAIR_FIELDS = ("D2", "B2", "Gd", "Gb", "Ad", "Ab")
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                view = value.view()
+                view.setflags(write=False)
+                object.__setattr__(self, f.name, view)
+
+    def map_pairs(self, fn) -> "KernelTables":
+        """The tables with fn applied to every pair-kernel array."""
+        return replace(self, **{name: fn(getattr(self, name)) for name in self.PAIR_FIELDS
+                                if getattr(self, name) is not None})
 
 
 class RateModel:
@@ -253,17 +277,17 @@ class GlauberModel(RateModel):
 
     def hierarchy_tables(self, grid: Grid, eps: float = 1.0) -> KernelTables:
         _check_eps(eps)
-        phi_t = self.phi.pair_table(grid)
+        phi_p = self.phi.profile(grid)
         n = grid.node_count
         return KernelTables(
             structure="separable",
             eps=eps,
             D1=np.ones(n),
-            D2=np.exp(eps * self.s * phi_t),
+            D2=np.exp(eps * self.s * phi_p),
             B1=np.full(n, self.z),
-            B2=self.z * np.exp(eps * (self.s - 1.0) * phi_t),
-            Gd=self._g_death(phi_t, eps),
-            Gb=self._g_birth(phi_t, eps),
+            B2=self.z * np.exp(eps * (self.s - 1.0) * phi_p),
+            Gd=self._g_death(phi_p, eps),
+            Gb=self._g_birth(phi_p, eps),
         )
 
     def birth_total_bound(self, n_points: int, eps: float = 1.0) -> float:
@@ -358,8 +382,8 @@ class BDLPModel(RateModel):
 
     def hierarchy_tables(self, grid: Grid, eps: float = 1.0) -> KernelTables:
         _check_eps(eps)
-        a_m = self.a_minus.pair_table(grid)
-        a_p = self.a_plus.pair_table(grid)
+        a_m = self.a_minus.profile(grid)
+        a_p = self.a_plus.profile(grid)
         n = grid.node_count
         return KernelTables(
             structure="support_one",

@@ -63,7 +63,7 @@ def vlasov_rhs_reference(model: RateModel, grid: Grid, rho: np.ndarray,
     to cross-validate the closed forms.
     """
     rho = np.asarray(rho, dtype=float).reshape(grid.node_count)
-    t = model.hierarchy_tables(grid, eps=0.0)
+    t = model.hierarchy_tables(grid, eps=0.0).map_pairs(lambda p: p[grid.offset_index])
     w = grid.weight
     if t.structure == "support_one":
         death_int = t.D1 + w * (t.Ad @ rho)

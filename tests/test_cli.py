@@ -253,8 +253,10 @@ class TestHierarchy:
         assert err.startswith("aborted: hierarchy table D2 holds a non-finite")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestTimeValues:
-    """A bad T, dt or snapshot time exits 2 before any output exists."""
+    """A bad T, dt or snapshot time exits 2 before any output exists, and
+    before numpy computes anything from it."""
 
     @pytest.mark.parametrize("command,run,named", [
         (["scale-compare"], {"T": 0.3, "dt": 0.05, "eps_list": [1.0, 0.1],
@@ -263,6 +265,7 @@ class TestTimeValues:
         (["vlasov"], {"T": 0.3, "dt": 0.05, "snapshot_times": [0.12, 0.5]},
          "snapshot time 0.5"),
         (["vlasov"], {"T": math.inf, "dt": 0.05}, "T = inf"),
+        (["hierarchy", "evolve"], {"T": math.inf}, "T = inf"),
     ])
     def test_rejected(self, tmp_path, capsys, command, run, named):
         cfg = glauber_config(tmp_path / "out")
@@ -284,6 +287,33 @@ class TestTimeValues:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["times"] == [0.1, 0.11]
         assert manifest["step_times"] == [2 * 0.3 / 6] * 2
+
+
+class TestInProcessRepeats:
+    """`cli.main` called again and again in one process writes the same
+    bytes each time: no run leaves state behind that changes the next."""
+
+    def test_repeated_runs_write_identical_csvs(self, tmp_path):
+        scale = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+                            / "scale-homog.json").read_text())
+        dense = glauber_config(None, M=32)
+        dense["run"] = {"T": 0.2, "snapshots": 3, "homogeneous": False,
+                        "initial_density": [0.25 + 0.05 * math.cos(2 * math.pi * i / 32)
+                                            for i in range(32)]}
+        runs = {"scale-homog": (scale, ["scale-compare"]),
+                "dense": (dense, ["hierarchy", "evolve"])}
+        outputs = {name: [] for name in runs}
+        for rep in range(3):
+            for name, (cfg, command) in runs.items():
+                out = tmp_path / f"{name}-{rep}"
+                cfg = dict(cfg, output={"directory": str(out)})
+                assert main(["--config", write_config(tmp_path / "c.json", cfg),
+                             "--threads", "1", *command]) == 0
+                outputs[name].append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert sorted(outputs["scale-homog"][0]) == ["errors.csv"]
+        assert sorted(outputs["dense"][0]) == ["k1.csv", "k2.csv"]
+        for name, files in outputs.items():
+            assert files[1] == files[0] and files[2] == files[0], name
 
 
 class TestVlasovCli:

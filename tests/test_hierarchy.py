@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from birthdeath import (BDLPModel, BoxKernel, CorrelationVector, GaussianKernel,
 from birthdeath.errors import (BlowUpError, ConditionError, StabilityError,
                                TruncationError)
 from birthdeath import hierarchy
-from birthdeath.hierarchy import _apply_tables, _ks_tables, _stability_guard
+from birthdeath.hierarchy import _apply_tables, _ks_tables, _layout, _stability_guard
 from birthdeath.space import Grid, Torus
 
 
@@ -92,7 +93,7 @@ class TestDualGeneratorOracle:
         k = random_vector(rng, grid16, 1.5)
         out = apply_dual_generator(model, k, HierarchyConfig(closure="poisson"))
         w = grid16.weight
-        at = kernel16.pair_table(grid16)
+        at = kernel16.profile(grid16)[grid16.offset_index]
         expect = (-model.m * k.k1
                   - model.kappa_minus * w * np.sum(at * k.k2, axis=1)
                   + model.kappa * k.k0
@@ -107,7 +108,7 @@ class TestDualGeneratorOracle:
         k = random_vector(rng, grid, 1.5)
         out = apply_dual_generator(model, k, HierarchyConfig(closure="poisson"))
         w = grid.weight
-        at = a.pair_table(grid)
+        at = a.profile(grid)[grid.offset_index]
         n = grid.node_count
         expect = np.zeros((n, n))
         for i in range(n):
@@ -182,24 +183,25 @@ class TestDualGeneratorOracle:
                             assert_close_to_dense(out_h.k2_full(), out_f.k2, case)
 
     def test_circulant_layout_on_asymmetric_tables(self, rng):
-        # any circulant tables, including non-symmetric ones and an uneven
-        # pair profile, so a wrong offset reversal shows
+        # any offset profiles, including non-even ones (non-symmetric
+        # tables) and an uneven pair profile, so a wrong offset reversal shows
         for torus, m in ((Torus(1, 1.0), 12), (Torus(2, 1.0), 6)):
             grid = Grid(torus, m)
             n = grid.node_count
 
-            def circ():
-                return rng.uniform(0.1, 1.0, n)[grid.offset_index]
+            def prof():
+                return rng.uniform(0.1, 1.0, n)
 
-            base = dict(eps=1.0, D1=np.full(n, 1.2), D2=circ(), B1=np.full(n, 0.4), B2=circ())
-            for tables in (KernelTables("separable", Gd=circ(), Gb=circ(), **base),
-                           KernelTables("support_one", Ad=circ(), Ab=circ(), **base)):
+            base = dict(eps=1.0, D1=np.full(n, 1.2), D2=prof(), B1=np.full(n, 0.4), B2=prof())
+            for tables in (KernelTables("separable", Gd=prof(), Gb=prof(), **base),
+                           KernelTables("support_one", Ad=prof(), Ab=prof(), **base)):
                 k_h = CorrelationVector(grid, 1.5, rng.normal(), np.full(n, rng.normal()),
                                         rng.normal(size=n), homogeneous=True)
                 k_f = replace(k_h, k2=k_h.k2_full(), homogeneous=False)
+                lay_h, lay_f = _layout(tables, grid, True), _layout(tables, grid, False)
                 cfg = HierarchyConfig(zeta_max=3, closure="poisson")
                 for apply in (_apply_tables, lambda t, k, c: _ks_tables(t, k, c, "test")):
-                    out_h, out_f = apply(tables, k_h, cfg), apply(tables, k_f, cfg)
+                    out_h, out_f = apply(lay_h, k_h, cfg), apply(lay_f, k_f, cfg)
                     case = (torus.dim, tables.structure)
                     assert_close_to_dense(out_h.k1, out_f.k1, case)
                     assert_close_to_dense(out_h.k2_full(), out_f.k2, case)
@@ -212,7 +214,8 @@ class TestDualGeneratorOracle:
             model = oracle_models(torus)[0]
             k = random_vector(rng, grid, 1.5)
             t = model.hierarchy_tables(grid)
-            qb2 = grid.weight ** 2 * np.einsum("ij,jl,il->i", t.Gb, k.k2, t.Gb)
+            gb = t.Gb[grid.offset_index]
+            qb2 = grid.weight ** 2 * np.einsum("ij,jl,il->i", gb, k.k2, gb)
             hi = apply_dual_generator(model, k, HierarchyConfig(zeta_max=2, closure="zero"))
             lo = apply_dual_generator(model, k, HierarchyConfig(zeta_max=1, closure="zero"))
             assert_close_to_dense(hi.k1 - lo.k1, 0.5 * t.B1 * qb2, torus.dim)
@@ -230,7 +233,8 @@ class TestDualGeneratorOracle:
         def run_all(k, t):
             cfg = HierarchyConfig(zeta_max=2, closure="poisson")
             products.clear()
-            outs = [_apply_tables(t, k, cfg), _ks_tables(t, k, cfg, "glauber")]
+            lay = _layout(t, k.grid, k.homogeneous)
+            outs = [_apply_tables(lay, k, cfg), _ks_tables(lay, k, cfg, "glauber")]
             return outs, len(products)
 
         monkeypatch.setattr(hierarchy._DenseLayout, "wmatmul", counted)
@@ -257,21 +261,77 @@ def box_models(torus, grid):
                       a_minus=a, a_plus=a, kappa=0.2)]
 
 
+def formula_tables(model, grid, eps):
+    """The (N, N) pair tables by the formulas of the models, applied to
+    each kernel's pair table profile[offset_index]."""
+    off = grid.offset_index
+    if isinstance(model, GlauberModel):
+        s, z, phi = model.s, model.z, model.phi.profile(grid)[off]
+        if eps == 0.0:
+            gd, gb = s * phi, (s - 1.0) * phi
+        else:
+            gd, gb = np.expm1(eps * s * phi) / eps, np.expm1(eps * (s - 1.0) * phi) / eps
+        return {"D2": np.exp(eps * s * phi), "B2": z * np.exp(eps * (s - 1.0) * phi),
+                "Gd": gd, "Gb": gb}
+    a_m, a_p = model.a_minus.profile(grid)[off], model.a_plus.profile(grid)[off]
+    return {"D2": model.m + eps * model.kappa_minus * a_m,
+            "B2": model.kappa + eps * model.kappa_plus * a_p,
+            "Ad": model.kappa_minus * a_m, "Ab": model.kappa_plus * a_p}
+
+
 class TestTranslationInvariantTables:
     # on these grids a box edge falls on node distances, where distances
     # computed pair by pair differ in the last bit between pairs at one offset
-    @pytest.mark.parametrize("dim,m", TIE_GRIDS)
+    @pytest.mark.parametrize("dim,m", TIE_GRIDS + ((2, 16),))
     def test_tables_are_gathered_profiles(self, dim, m):
         torus = Torus(dim, 1.0)
         grid = Grid(torus, m)
+        n = grid.node_count
         kernel = BoxKernel(0.4, 0.1)
-        assert np.array_equal(kernel.pair_table(grid), kernel.profile(grid)[grid.offset_index])
-        for model in box_models(torus, grid):
-            tables = model.hierarchy_tables(grid, eps=0.5)
-            for f in dataclasses.fields(tables):
-                table = getattr(tables, f.name)
-                if isinstance(table, np.ndarray) and table.ndim == 2:
-                    assert np.array_equal(table, table[0][grid.offset_index]), (model.name, f.name)
+        assert np.array_equal(kernel.profile(grid)[grid.offset_index][0], kernel.profile(grid))
+        for model in box_models(torus, grid) + oracle_models(torus):
+            for eps in (0.0, 0.5, 1.0):
+                tables = model.hierarchy_tables(grid, eps=eps)
+                dense = _layout(tables, grid, homogeneous=False).t
+                expect = formula_tables(model, grid, eps)
+                for name in KernelTables.PAIR_FIELDS:
+                    case = (model.name, eps, name)
+                    if name not in expect:
+                        assert getattr(tables, name) is None, case
+                        continue
+                    assert getattr(tables, name).shape == (n,), case
+                    table = getattr(dense, name)
+                    assert np.array_equal(table, expect[name]), case
+                    assert np.array_equal(table, table[0][grid.offset_index]), case
+
+    def test_tables_and_layout_operands_are_read_only(self):
+        torus = Torus(2, 1.0)
+        grid = Grid(torus, 8)
+        for model in oracle_models(torus):
+            tables = model.hierarchy_tables(grid)
+            for homogeneous in (True, False):
+                lay = _layout(tables, grid, homogeneous)
+                arrays = [getattr(t, f.name) for t in (tables, lay.t)
+                          for f in dataclasses.fields(t)
+                          if isinstance(getattr(t, f.name), np.ndarray)]
+                for a in arrays + [lay.diag]:
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[...] = 0.0
+
+    def test_homogeneous_run_holds_no_pair_table(self):
+        # d = 2, M = 64: one (N, N) float table would take 128 MiB
+        torus = Torus(2, 1.0)
+        grid = Grid(torus, 64)
+        model = GlauberModel(torus, s=0.5, z=0.3, phi=BoxKernel(0.4, 0.1))
+        k0 = CorrelationVector.coherent(grid, 1.5, 0.25, homogeneous=True)
+        tracemalloc.start()
+        try:
+            run = evolve(model, k0, T=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert run.final().k2.shape == (grid.node_count,)
+        assert peak < 16 * 2 ** 20, peak
 
     @pytest.mark.parametrize("dim,m", TIE_GRIDS)
     def test_dense_run_keeps_constant_density(self, dim, m):
@@ -423,7 +483,11 @@ class TestEvolve:
 
     def test_stability_guard(self, db_model, grid16):
         k0 = CorrelationVector.coherent(grid16, 1.5, 0.3, homogeneous=True)
-        bound = _stability_guard(db_model.hierarchy_tables(grid16), k0.order)
+        tables = db_model.hierarchy_tables(grid16)
+        bound = _stability_guard(tables, grid16, k0.order)
+        # the profile gives the supremum over the whole pair table
+        d2 = tables.D2[grid16.offset_index]
+        assert bound == 1.0 / (2.0 * max(float(np.max(tables.D1)), float(np.max(d2 + d2.T))))
         with pytest.raises(StabilityError):
             evolve(db_model, k0, T=1.0, dt=2.1 * bound, check=False)
 

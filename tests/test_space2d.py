@@ -68,7 +68,7 @@ class TestQuadrature2d:
         kern = BoxKernel(1.0, 0.2)
         prof = kern.profile(grid2)
         conv = circular_convolve(grid2, f, prof)
-        direct = grid2.weight * (kern.pair_table(grid2) @ f)
+        direct = grid2.weight * (prof[grid2.offset_index] @ f)
         assert np.allclose(conv, direct, atol=1e-12)
 
 
