@@ -1,11 +1,12 @@
 """Command-line interface: one executable, JSON config in, CSV + manifest out.
 
 Subcommands: check, simulate, hierarchy (evolve | stationary), vlasov,
-scale-compare.  Every run reads a single JSON configuration document,
-validates it strictly (unknown keys are rejected), writes CSV data files
-plus a JSON manifest echoing the configuration, and exits with 0 on
-success (for `check`: conditions hold), 1 when conditions fail or a
-computation aborts, 2 on usage or configuration errors.
+scale-compare.  Every run takes four phases: validate (each key against its
+block's table, then the subcommand's needs and the rules across keys), build
+(space and model), compute and write (CSVs and a manifest that echoes the
+config and times the phases).  Exit codes: 0 on success (for `check`:
+conditions hold), 1 when conditions fail or a computation aborts, 2 on a
+usage error or a bad configuration, caught before any output exists.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -21,143 +23,145 @@ import numpy as np
 from . import __version__
 from .conditions import check_conditions, verify_kernel_bounds
 from .configurations import FiniteConfiguration
-from .errors import (BirthDeathError, BlowUpError, ConditionError, ConfigError,
-                     KernelBoundError, SimulationAbort, StabilityError)
-from .hierarchy import (CorrelationVector, HierarchyConfig, _check_horizon, evolve,
-                        stationary_solve)
+from .errors import BirthDeathError, ConfigError, KernelBoundError
+from .hierarchy import CorrelationVector, HierarchyConfig, evolve, stationary_solve
 from .kernels import BoxKernel, GaussianKernel, normalize_on_grid
 from .models import BDLPModel, GlauberModel
-from .simulate import REPLICA_SEEDING, FixedInitial, PoissonInitial, run_ensemble
+from .simulate import (DEFAULT_POPULATION_CAP, REPLICA_SEEDING, FixedInitial, PoissonInitial,
+                       run_ensemble)
 from .space import Grid, Torus
-from .vlasov import integrate as integrate_vlasov
-from .vlasov import scaling_compare
+from .vlasov import integrate as integrate_vlasov, scaling_compare
 
-_KERNEL_KEYS = {"box": {"shape", "height", "radius"},
-                "gaussian": {"shape", "height", "sigma", "cutoff"}}
-_MODEL_KEYS = {"glauber": {"name", "s", "z", "phi"},
-               "bdlp": {"name", "m", "kappa_minus", "kappa_plus", "a_minus", "a_plus"},
-               "bdlp_modified": {"name", "m", "kappa_minus", "kappa_plus",
-                                 "kappa", "a_minus", "a_plus"}}
-_SPACE_KEYS = {"d", "L", "M"}
-_WEIGHTS_KEYS = {"C", "n_max", "zeta_max", "N_max", "closure"}
-_RUN_KEYS = {"T", "dt", "replicas", "seed", "snapshots", "snapshot_times", "burn_in",
-             "initial", "initial_density", "eps", "eps_list", "scaled", "tol",
-             "max_iter", "population_cap", "verify_samples", "verify_seed",
-             "homogeneous"}
-_TOP_KEYS = {"model", "space", "weights", "run", "output"}
+# One table per config block maps each key to (kind, default, range).  A
+# kind is int, float (finite), bool, str, [kind] (a list of such values),
+# (float, [float]) (either), or the table of a block.  A default of
+# _REQUIRED makes the key always needed; None leaves it absent unless the
+# subcommand needs it.  A range is (test, words), or None.
+_REQUIRED = "required"
+_POSITIVE = (lambda v: v > 0, "> 0")
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+_UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
+_Variants = namedtuple("_Variants", "key tables")   # a block's tables, by the value of `key`
+_NAME = (str, _REQUIRED, None)
+_SIZE = (float, _REQUIRED, _POSITIVE)
+_RATE = (float, _REQUIRED, _NONNEGATIVE)
+_HEIGHT = (float, 1.0, _NONNEGATIVE)
+_KERNEL = (_Variants("shape", {
+    "box": {"shape": _NAME, "height": _HEIGHT, "radius": _SIZE},
+    "gaussian": {"shape": _NAME, "height": _HEIGHT, "sigma": _SIZE, "cutoff": _SIZE},
+}), _REQUIRED, None)
+_BDLP = {"name": _NAME, "m": _SIZE, "kappa_minus": _RATE, "kappa_plus": _RATE,
+         "a_minus": _KERNEL, "a_plus": _KERNEL}
+_MODEL = _Variants("name", {
+    "glauber": {"name": _NAME, "s": (float, _REQUIRED, _UNIT), "z": _RATE, "phi": _KERNEL},
+    "bdlp": _BDLP, "bdlp_modified": dict(_BDLP, kappa=_SIZE)})
+_SPACE = {"d": (int, _REQUIRED, (lambda v: v in (1, 2), "1 or 2")), "L": _SIZE,
+          "M": (int, _REQUIRED, (lambda v: v >= 2, ">= 2"))}
+_WEIGHTS = {"C": (float, 1.5, (lambda v: v > 1, "> 1")), "zeta_max": (int, 2, _NONNEGATIVE),
+            "N_max": (int, 2, (lambda v: v in (1, 2), "1 or 2")),
+            "closure": (str, "poisson", (lambda v: v in ("zero", "poisson"), "zero or poisson"))}
+_INITIAL = _Variants("type", {"poisson": {"type": _NAME, "intensity": _RATE},
+                              "fixed": {"type": _NAME, "points": ([[float]], _REQUIRED, None)}})
+# `dt` of hierarchy evolve defaults to half the stability guard, and
+# `homogeneous` to whether initial_density is constant
+_RUN = {
+    "T": (float, None, _NONNEGATIVE), "dt": (float, None, _POSITIVE),
+    "snapshot_times": ([float], None, _NONNEGATIVE), "snapshots": (int, 5, _POSITIVE),
+    "initial_density": ((float, [float]), 0.0, _NONNEGATIVE), "homogeneous": (bool, None, None),
+    "eps": (float, 1.0, _UNIT), "eps_list": ([float], (1.0, 0.3, 0.1, 0.03), _UNIT),
+    "scaled": (bool, False, None), "replicas": (int, None, _POSITIVE),
+    "seed": (int, 0, _NONNEGATIVE), "initial": (_INITIAL, None, None),
+    "burn_in": (float, 0.0, _NONNEGATIVE), "population_cap": (int, DEFAULT_POPULATION_CAP, _POSITIVE),
+    "tol": (float, 1e-10, _POSITIVE), "max_iter": (int, 1000, _POSITIVE),
+    "verify_samples": (int, 0, _NONNEGATIVE), "verify_seed": (int, 0, _NONNEGATIVE),
+}
+_CONFIG = {"model": (_MODEL, _REQUIRED, None), "space": (_SPACE, _REQUIRED, None),
+           "weights": (_WEIGHTS, {}, None), "run": (_RUN, {}, None),
+           "output": ({"directory": (str, None, None)}, {}, None)}
+_KIND_WORDS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
 
 
-def _check_keys(block: dict, allowed: set, where: str) -> None:
-    unknown = set(block) - allowed
+class _NotJSON(float):
+    """NaN or (-)Infinity in a config file: not JSON, and no key takes one, for
+    a number must have type int or float and a finite value."""
+
+
+def _read(block, table, where: str) -> dict:
+    """A block's settings: each key of its table at its value or default,
+    floats as float; a ConfigError names the first key that is bad."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where or 'config root'} must be a JSON object")
+    if isinstance(table, _Variants):
+        name = block.get(table.key)
+        if not isinstance(name, str) or name not in table.tables:
+            raise ConfigError(f"{where}.{table.key} = {name!r} is not in {sorted(table.tables)}")
+        table = table.tables[name]
+    unknown = sorted(set(block) - set(table))
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {where or 'config root'}: {unknown}")
+    settings = {}
+    for key, (kind, default, within) in table.items():
+        path = f"{where}.{key}" if where else key
+        if key in block:
+            settings[key] = _value(block[key], kind, within, path)
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key {path}")
+        else:   # an absent block takes the defaults of its table
+            settings[key] = _read({}, kind, path) if isinstance(kind, dict) else default
+    return settings
 
 
-def _need(block: dict, key: str, where: str):
-    if key not in block:
-        raise ConfigError(f"missing required key '{key}' in {where}")
-    return block[key]
+def _value(value, kind, within, where: str):
+    if isinstance(kind, (dict, _Variants)):
+        return _read(value, kind, where)
+    if isinstance(kind, tuple):
+        kind = kind[isinstance(value, list)]
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list")
+        return [_value(item, kind[0], within, f"{where}[{i}]") for i, item in enumerate(value)]
+    if not (type(value) in (int, float) and abs(value) <= sys.float_info.max
+            if kind is float else type(value) is kind):
+        raise ConfigError(f"{where} = {value!r} is not {_KIND_WORDS[kind]}")
+    if within and not within[0](value):
+        raise ConfigError(f"{where} = {value!r} must be {within[1]}")
+    return float(value) if kind is float else value
 
 
 def load_config(path: str) -> dict:
+    """The configuration at `path` as written, once every key has passed its table."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+            cfg = json.load(fh, parse_constant=_NotJSON)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+    except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "config root")
-    for key in ("model", "space"):
-        _need(cfg, key, "config root")
+    _read(cfg, _CONFIG, "")
     return cfg
 
 
 def build_space(cfg: dict):
-    block = cfg["space"]
-    _check_keys(block, _SPACE_KEYS, "space block")
-    torus = Torus(int(_need(block, "d", "space")), float(_need(block, "L", "space")))
-    grid = Grid(torus, int(_need(block, "M", "space")))
-    return torus, grid
+    space = _read(cfg["space"], _SPACE, "space")
+    torus = Torus(space["d"], space["L"])
+    return torus, Grid(torus, space["M"])
 
 
-def build_kernel(spec: dict, where: str):
-    if not isinstance(spec, dict) or "shape" not in spec:
-        raise ConfigError(f"{where} must be an object with a 'shape' key")
-    shape = spec["shape"]
-    if shape not in _KERNEL_KEYS:
-        raise ConfigError(f"unknown kernel shape '{shape}' in {where}")
-    _check_keys(spec, _KERNEL_KEYS[shape], where)
-    try:
-        if shape == "box":
-            return BoxKernel(float(spec.get("height", 1.0)), float(_need(spec, "radius", where)))
-        return GaussianKernel(float(spec.get("height", 1.0)),
-                              float(_need(spec, "sigma", where)),
-                              float(_need(spec, "cutoff", where)))
-    except ValueError as exc:
-        raise ConfigError(f"bad kernel in {where}: {exc}")
+def _kernel(k: dict):
+    return BoxKernel(k["height"], k["radius"]) if k["shape"] == "box" \
+        else GaussianKernel(k["height"], k["sigma"], k["cutoff"])
 
 
 def build_model(cfg: dict, torus: Torus, grid: Grid):
-    block = cfg["model"]
-    name = _need(block, "name", "model block")
-    if name not in _MODEL_KEYS:
-        raise ConfigError(f"unknown model '{name}'")
-    _check_keys(block, _MODEL_KEYS[name], "model block")
+    m = _read(cfg["model"], _MODEL, "model")
     try:
-        if name == "glauber":
-            return GlauberModel(torus, float(_need(block, "s", "model")),
-                                float(_need(block, "z", "model")),
-                                build_kernel(_need(block, "phi", "model"), "model.phi"))
-        a_minus = normalize_on_grid(build_kernel(_need(block, "a_minus", "model"),
-                                                 "model.a_minus"), grid)
-        a_plus = normalize_on_grid(build_kernel(_need(block, "a_plus", "model"),
-                                                "model.a_plus"), grid)
-        kappa = float(_need(block, "kappa", "model")) if name == "bdlp_modified" else 0.0
-        if name == "bdlp_modified" and kappa <= 0:
-            raise ConfigError("bdlp_modified requires kappa > 0")
-        return BDLPModel(torus, float(_need(block, "m", "model")),
-                         float(_need(block, "kappa_minus", "model")),
-                         float(_need(block, "kappa_plus", "model")),
-                         a_minus, a_plus, kappa)
+        if m["name"] == "glauber":
+            return GlauberModel(torus, m["s"], m["z"], _kernel(m["phi"]))
+        return BDLPModel(torus, m["m"], m["kappa_minus"], m["kappa_plus"],
+                         normalize_on_grid(_kernel(m["a_minus"]), grid),
+                         normalize_on_grid(_kernel(m["a_plus"]), grid), m.get("kappa", 0.0))
     except (ValueError, BirthDeathError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"invalid model parameters: {exc}")
-
-
-def _weights(cfg: dict) -> dict:
-    block = dict(cfg.get("weights", {}))
-    _check_keys(block, _WEIGHTS_KEYS, "weights block")
-    out = {"C": float(block.get("C", 1.5)), "n_max": int(block.get("n_max", 12)),
-           "zeta_max": int(block.get("zeta_max", 2)),
-           "N_max": int(block.get("N_max", 2)),
-           "closure": str(block.get("closure", "poisson"))}
-    if out["C"] <= 1.0:
-        raise ConfigError("weights.C must exceed 1")
-    if out["N_max"] not in (1, 2):
-        raise ConfigError("weights.N_max must be 1 or 2")
-    if out["closure"] not in ("zero", "poisson"):
-        raise ConfigError("weights.closure must be 'zero' or 'poisson'")
-    return out
-
-
-def _run_block(cfg: dict) -> dict:
-    block = dict(cfg.get("run", {}))
-    _check_keys(block, _RUN_KEYS, "run block")
-    return block
-
-
-def _initial_density(run: dict, grid: Grid) -> np.ndarray:
-    rho = run.get("initial_density", 0.0)
-    if isinstance(rho, (int, float)):
-        return np.full(grid.node_count, float(rho))
-    arr = np.asarray(rho, dtype=float)
-    if arr.size != grid.node_count:
-        raise ConfigError(f"initial_density must be scalar or have M^d = {grid.node_count} entries")
-    return arr.reshape(grid.node_count)
 
 
 # Rows formatted per pass of write_csv: bounds the format string and the
@@ -246,268 +250,147 @@ def write_csv(path: Path, header, rows) -> None:
                 fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
-def _write_csvs(out_dir: Path, tables: dict) -> float:
-    """Write each `name: (header, rows)` table; return the seconds it took."""
-    started = time.perf_counter()
-    for name, (header, rows) in tables.items():
-        write_csv(out_dir / name, header, rows)
-    return time.perf_counter() - started
-
-
-def write_manifest(out_dir: Path, cfg: dict, command: str, started: float,
-                   extra: dict) -> None:
-    blob = json.dumps(cfg, sort_keys=True).encode()
-    manifest = {
-        "command": command,
-        "version": f"birthdeath {__version__}+cfg.{hashlib.sha1(blob).hexdigest()[:8]}",
-        "wall_time_s": time.time() - started,
-        "config": cfg,
-    }
-    manifest.update(extra)
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+def _write_json(path: Path, document: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(document, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _out_dir(cfg: dict, args) -> Path:
-    block = dict(cfg.get("output", {}))
-    _check_keys(block, {"directory"}, "output block")
-    directory = args.out or block.get("directory")
-    if not directory:
-        raise ConfigError("no output directory: set output.directory or pass --out")
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def write_manifest(out_dir: Path, cfg: dict, command: str, started: float, extra: dict) -> None:
+    """manifest.json: command, version, seconds since `started` (a perf_counter), config, extra."""
+    digest = hashlib.sha1(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:8]
+    _write_json(out_dir / "manifest.json", dict(
+        command=command, version=f"birthdeath {__version__}+cfg.{digest}",
+        wall_time_s=time.perf_counter() - started, config=cfg, **extra))
 
 
-def cmd_check(cfg: dict, args) -> int:
-    started = time.time()
-    torus, grid = build_space(cfg)
-    model = build_model(cfg, torus, grid)
-    weights = _weights(cfg)
-    run = _run_block(cfg)
+def _check(model, grid, run, weights, args):
     report = check_conditions(model, weights["C"], grid)
     payload = report.as_dict()
-
-    n_verify = int(run.get("verify_samples", 0))
-    if n_verify > 0:
-        rng = np.random.Generator(np.random.PCG64(int(run.get("verify_seed", 0))))
+    if run["verify_samples"]:
+        rng, torus = np.random.Generator(np.random.PCG64(run["verify_seed"])), grid.torus
         samples = [FiniteConfiguration(rng.uniform(0, torus.length, (rng.integers(1, 4), torus.dim)),
-                                       torus) for _ in range(n_verify)]
+                                       torus) for _ in range(run["verify_samples"])]
         try:
             a1_hat, a2_hat = verify_kernel_bounds(model, weights["C"], grid, samples,
                                                   declared=(report.a1, report.a2))
             payload["verified"] = {"a1_hat": a1_hat, "a2_hat": a2_hat, "holds": True}
         except KernelBoundError as exc:
             payload["verified"] = {"holds": False, "reason": str(exc)}
-
-    out_dir = _out_dir(cfg, args)
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(out_dir, cfg, "check", started, {"report": payload})
-    if report.bound_3_2 and payload.get("verified", {}).get("holds", True):
-        print("conditions hold: a1 + a2/C = "
-              f"{report.sum_a:.6f} < 1.5")
-        return 0
-    failed = report.failed_inequalities()
-    print(f"conditions FAIL: a1 + a2/C = {report.sum_a:.6f}; failed: {failed}")
-    return 1
+    reason = payload.get("verified", {}).get("reason")
+    holds = report.bound_3_2 and reason is None
+    unverified = f"; verification failed: {reason}" if reason else ""
+    print(f"conditions hold: a1 + a2/C = {report.sum_a:.6f} < 1.5" if holds else
+          f"conditions FAIL: a1 + a2/C = {report.sum_a:.6f}; failed: "
+          f"{report.failed_inequalities()}{unverified}")
+    return {"report.json": payload}, {"report": payload}, 0 if holds else 1
 
 
-def cmd_simulate(cfg: dict, args) -> int:
-    started = time.time()
-    torus, grid = build_space(cfg)
-    model = build_model(cfg, torus, grid)
-    run = _run_block(cfg)
-    replicas = int(run.get("replicas", 0))
-    if replicas < 1:
-        raise ConfigError("run.replicas must be >= 1")
-    T = float(_need(run, "T", "run"))
-    seed = int(args.seed if args.seed is not None else run.get("seed", 0))
-
-    init_spec = _need(run, "initial", "run block (simulate)")
-    _check_keys(init_spec, {"type", "intensity", "points"}, "run.initial")
-    if init_spec.get("type") == "poisson":
-        initial = PoissonInitial(float(_need(init_spec, "intensity", "run.initial")))
-    elif init_spec.get("type") == "fixed":
-        initial = FixedInitial(np.asarray(_need(init_spec, "points", "run.initial"), dtype=float))
-    else:
-        raise ConfigError("run.initial.type must be 'poisson' or 'fixed'")
-
-    snaps = run.get("snapshot_times")
-    if snaps is None:
-        n_snap = int(run.get("snapshots", 1))
-        burn = float(run.get("burn_in", 0.0))
-        snaps = list(np.linspace(burn, T, n_snap)) if n_snap > 1 else [T]
-    ensemble_started = time.perf_counter()
-    result = run_ensemble(model, initial, T, replicas, seed, grid,
-                          snapshot_times=snaps,
-                          burn_in=float(run.get("burn_in", 0.0)),
-                          eps=float(run.get("eps", 1.0)),
-                          scaled=bool(run.get("scaled", False)),
-                          population_cap=int(run.get("population_cap", 100_000)),
-                          threads=args.threads)
-    ensemble_s = time.perf_counter() - ensemble_started
+def _simulate(model, grid, run, weights, args):
+    T, init, seed = run["T"], run["initial"], run["seed"]
+    initial = PoissonInitial(init["intensity"]) if init["type"] == "poisson" \
+        else FixedInitial(np.asarray(init["points"], dtype=float))
+    snaps = run["snapshot_times"] or (
+        list(np.linspace(run["burn_in"], T, run["snapshots"])) if run["snapshots"] > 1 else [T])
+    result = run_ensemble(model, initial, T, run["replicas"], seed, grid, snapshot_times=snaps,
+                          burn_in=run["burn_in"], eps=run["eps"], scaled=run["scaled"],
+                          population_cap=run["population_cap"], threads=args.threads)
     totals = {key: sum(ev[key] for ev in result.events["per_replica"])
               for key in ("proposals", "births", "rejections")}
     offered = totals["births"] + totals["rejections"]
-
-    out_dir = _out_dir(cfg, args)
     corr = result.correlations
-    write_s = _write_csvs(out_dir, {
-        "k1.csv": ([f"bin_center_{i}" for i in range(torus.dim)] + ["estimate", "std_error"],
+    return {
+        "k1.csv": ([f"bin_center_{i}" for i in range(grid.torus.dim)] + ["estimate", "std_error"],
                    np.column_stack([grid.nodes + grid.spacing / 2.0, corr.k1, corr.k1_se])),
         "k2.csv": (["bin_center", "estimate", "std_error"],
                    np.column_stack([corr.k2_centers, corr.k2, corr.k2_se])),
         "population.csv": (["time", "mean", "std_error"],
                            np.column_stack([result.snapshot_times, result.population_mean,
                                             result.population_se])),
-    })
-    write_manifest(out_dir, cfg, "simulate", started, {
-        "seed": seed, "replicas": replicas, "replica_seeding": REPLICA_SEEDING,
+    }, {
+        "seed": seed, "replicas": run["replicas"], "replica_seeding": REPLICA_SEEDING,
         "events": result.events,
-        "run_ensemble_s": ensemble_s,
-        "proposals_per_s": totals["proposals"] / ensemble_s,
+        "proposals_per_s": lambda timings: totals["proposals"] / timings["compute_s"],
         # births over accepted plus rejected birth proposals; null without any
         "acceptance_ratio": totals["births"] / offered if offered else None,
-        "write_csv_s": write_s,
-    })
-    return 0
+    }, 0
 
 
-def _snapshot_times(run: dict, T: float):
-    """The configured snapshot times, else `snapshots` equally spaced times
-    on [0, T], built only once T is known to be a finite time >= 0."""
-    if run.get("snapshot_times"):
-        return run["snapshot_times"]
-    _check_horizon(T)
-    return list(np.linspace(0.0, T, int(run.get("snapshots", 5))))
+def _hierarchy_evolve(model, grid, run, weights, args):
+    k0 = CorrelationVector.coherent(grid, weights["C"], run["initial_density"],
+                                    order=weights["N_max"], homogeneous=run["homogeneous"])
+    hcfg = HierarchyConfig(zeta_max=weights["zeta_max"], closure=weights["closure"], eps=run["eps"])
+    result = evolve(model, k0, run["T"], dt=run["dt"], cfg=hcfg,
+                    snapshot_times=run["snapshot_times"]
+                    or list(np.linspace(0.0, run["T"], run["snapshots"])))
+    return (_correlation_tables(grid, result.times, result.snapshots),
+            {"dt": result.dt, "norms": result.norms, "times": result.times}, 0)
 
 
-def _hierarchy_setup(cfg: dict):
-    torus, grid = build_space(cfg)
-    model = build_model(cfg, torus, grid)
-    weights = _weights(cfg)
-    run = _run_block(cfg)
-    return torus, grid, model, weights, run
-
-
-def cmd_hierarchy_evolve(cfg: dict, args) -> int:
-    started = time.time()
-    torus, grid, model, weights, run = _hierarchy_setup(cfg)
-    rho0 = _initial_density(run, grid)
-    homogeneous = bool(run.get("homogeneous", bool(np.all(rho0 == rho0[0]))))
-    k0 = CorrelationVector.coherent(grid, weights["C"], rho0,
-                                    order=weights["N_max"], homogeneous=homogeneous)
-    hcfg = HierarchyConfig(zeta_max=weights["zeta_max"], closure=weights["closure"],
-                           eps=float(run.get("eps", 1.0)))
-    T = float(_need(run, "T", "run"))
-    snaps = _snapshot_times(run, T)
-    evolve_started = time.perf_counter()
-    result = evolve(model, k0, T, dt=run.get("dt"), cfg=hcfg, snapshot_times=snaps)
-    evolve_s = time.perf_counter() - evolve_started
-
-    out_dir = _out_dir(cfg, args)
-    write_s = _write_csvs(out_dir, _correlation_tables(grid, result.times, result.snapshots))
-    write_manifest(out_dir, cfg, "hierarchy evolve", started,
-                   {"dt": result.dt, "norms": result.norms, "times": result.times,
-                    "evolve_s": evolve_s, "write_csv_s": write_s})
-    return 0
-
-
-def _node_table(grid: Grid, times, values) -> np.ndarray:
-    """Rows (time, node coordinates..., value) for every node at every time."""
-    n = grid.node_count
-    return np.vstack([np.column_stack([np.full(n, t), grid.nodes, v])
+def _timed_rows(times, index, values) -> np.ndarray:
+    """Rows (time, index columns..., value) for each row of `index` at each time."""
+    return np.vstack([np.column_stack([np.full(len(index), t), index, v])
                       for t, v in zip(times, values)])
 
 
 def _correlation_tables(grid: Grid, times, snapshots) -> dict:
-    dim = grid.torus.dim
-    n = grid.node_count
-    tables = {"k1.csv": (["time"] + [f"x{i}" for i in range(dim)] + ["k1"],
-                         _node_table(grid, times, [snap.k1 for snap in snapshots]))}
+    tables = {"k1.csv": (["time"] + [f"x{i}" for i in range(grid.torus.dim)] + ["k1"],
+                         _timed_rows(times, grid.nodes, [snap.k1 for snap in snapshots]))}
     if snapshots[0].k2 is None:
         return tables
-    if snapshots[0].homogeneous:
-        header = ["time", "offset", "separation", "k2"]
-        pairs = np.column_stack([np.arange(n),
-                                 grid.torus.distance(grid.nodes, grid.nodes[0])])
+    n = grid.node_count
+    if snapshots[0].homogeneous:   # k2 by node offset u, at separation |x_u - x_0|
+        header, pairs = ["offset", "separation"], np.column_stack(
+            [np.arange(n), grid.torus.distance(grid.nodes, grid.nodes[0])])
     else:
-        header = ["time", "i", "j", "k2"]
-        pairs = np.column_stack(np.divmod(np.arange(n * n), n))
-    tables["k2.csv"] = (header, np.vstack([
-        np.column_stack([np.full(len(pairs), t), pairs, snap.k2.ravel()])
-        for t, snap in zip(times, snapshots)]))
+        header, pairs = ["i", "j"], np.column_stack(np.divmod(np.arange(n * n), n))
+    tables["k2.csv"] = (["time", *header, "k2"],
+                        _timed_rows(times, pairs, [snap.k2.ravel() for snap in snapshots]))
     return tables
 
 
-def cmd_hierarchy_stationary(cfg: dict, args) -> int:
-    started = time.time()
-    torus, grid, model, weights, run = _hierarchy_setup(cfg)
+def _hierarchy_stationary(model, grid, run, weights, args):
     hcfg = HierarchyConfig(zeta_max=weights["zeta_max"], closure=weights["closure"], eps=1.0)
-    result = stationary_solve(model, grid, weights["C"], cfg=hcfg,
-                              tol=float(run.get("tol", 1e-10)),
-                              max_iter=int(run.get("max_iter", 1000)))
-    out_dir = _out_dir(cfg, args)
-    write_s = _write_csvs(out_dir, _correlation_tables(grid, [0.0], [result.k_inv]))
-    write_manifest(out_dir, cfg, "hierarchy stationary", started, {
-        "iterations": result.iterations,
-        "contraction_q": result.q,
-        "certificate": result.certificate,
-        "fixed_point_residual": result.residual,
-        "write_csv_s": write_s,
-    })
-    return 0
+    result = stationary_solve(model, grid, weights["C"], cfg=hcfg, tol=run["tol"],
+                              max_iter=run["max_iter"])
+    return _correlation_tables(grid, [0.0], [result.k_inv]), {
+        "iterations": result.iterations, "contraction_q": result.q,
+        "certificate": result.certificate, "fixed_point_residual": result.residual}, 0
 
 
-def cmd_vlasov(cfg: dict, args) -> int:
-    started = time.time()
-    torus, grid = build_space(cfg)
-    model = build_model(cfg, torus, grid)
-    run = _run_block(cfg)
-    rho0 = _initial_density(run, grid)
-    T = float(_need(run, "T", "run"))
-    dt = float(_need(run, "dt", "run"))
-    snaps = _snapshot_times(run, T)
-    result = integrate_vlasov(model, grid, rho0, T, dt, snapshot_times=snaps)
-
-    out_dir = _out_dir(cfg, args)
-    write_s = _write_csvs(out_dir, {
-        "rho.csv": (["time"] + [f"x{i}" for i in range(torus.dim)] + ["rho"],
-                    _node_table(grid, result.times, [f.rho for f in result.fields]))})
-    write_manifest(out_dir, cfg, "vlasov", started,
-                   {"dt": result.dt, "clipped_mass": result.clipped_mass,
-                    "times": result.times, "write_csv_s": write_s})
-    return 0
+def _vlasov(model, grid, run, weights, args):
+    result = integrate_vlasov(model, grid, run["initial_density"], run["T"], run["dt"],
+                              snapshot_times=run["snapshot_times"]
+                              or list(np.linspace(0.0, run["T"], run["snapshots"])))
+    return {"rho.csv": (["time"] + [f"x{i}" for i in range(grid.torus.dim)] + ["rho"],
+                        _timed_rows(result.times, grid.nodes, [f.rho for f in result.fields]))}, \
+        {"dt": result.dt, "clipped_mass": result.clipped_mass, "times": result.times}, 0
 
 
-def cmd_scale_compare(cfg: dict, args) -> int:
-    started = time.time()
-    torus, grid = build_space(cfg)
-    model = build_model(cfg, torus, grid)
-    weights = _weights(cfg)
-    run = _run_block(cfg)
-    rho0 = _initial_density(run, grid)
-    T = float(_need(run, "T", "run"))
-    dt = float(_need(run, "dt", "run"))
-    eps_list = run.get("eps_list", [1.0, 0.3, 0.1, 0.03])
-    snaps = run.get("snapshot_times") or [T]
-    table = scaling_compare(model, grid, eps_list, rho0, T, dt, weights["C"],
-                            snapshot_times=snaps, zeta_max=weights["zeta_max"],
-                            closure=weights["closure"])
-    out_dir = _out_dir(cfg, args)
+def _scale_compare(model, grid, run, weights, args):
+    table = scaling_compare(model, grid, run["eps_list"], run["initial_density"], run["T"],
+                            run["dt"], weights["C"], snapshot_times=run["snapshot_times"] or None,
+                            zeta_max=weights["zeta_max"], closure=weights["closure"])
     n_eps, n_times = table.errors.shape
-    write_s = _write_csvs(out_dir, {
-        "errors.csv": (["eps", "time", "error"],
-                       np.column_stack([np.repeat(table.eps_list, n_times),
-                                        np.tile(table.times, n_eps),
-                                        table.errors.ravel()]))})
-    write_manifest(out_dir, cfg, "scale-compare", started,
-                   {"eps_list": list(map(float, eps_list)), "times": table.times,
-                    "step_times": table.step_times, "write_csv_s": write_s})
-    return 0
+    return {"errors.csv": (["eps", "time", "error"], np.column_stack([
+        np.repeat(table.eps_list, n_times), np.tile(table.times, n_eps), table.errors.ravel()]))}, \
+        {"eps_list": table.eps_list, "times": table.times, "step_times": table.step_times}, 0
+
+
+# name: (function, the run keys it needs, its own defaults of run keys, help).  The
+# function maps the validated run (model, grid, run and weights settings, arguments)
+# to its tables, manifest extras and exit code.  A table is (header, rows) for a CSV
+# file or a dict for a JSON file; an extra may be a function of the phase timings.
+_COMMANDS = {
+    "check": (_check, (), {}, "evaluate the sufficient conditions"),
+    "simulate": (_simulate, ("T", "replicas", "initial"), {"snapshots": 1},
+                 "run the event simulator ensemble"),
+    "hierarchy evolve": (_hierarchy_evolve, ("T",), {}, "integrate the hierarchy in time"),
+    "hierarchy stationary": (_hierarchy_stationary, (), {}, "solve the stationary equation"),
+    "vlasov": (_vlasov, ("T", "dt"), {}, "integrate the mean-field density equation"),
+    "scale-compare": (_scale_compare, ("T", "dt"), {},
+                      "scaled hierarchy vs mean-field error table"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -520,29 +403,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="seed override for simulate")
     parser.add_argument("--threads", type=int, default=1, help="worker cap for replica runs")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("check", help="evaluate the sufficient conditions")
-    sub.add_parser("simulate", help="run the event simulator ensemble")
     hier = sub.add_parser("hierarchy", help="correlation-hierarchy computations")
     hsub = hier.add_subparsers(dest="subcommand", required=True)
-    hsub.add_parser("evolve", help="integrate the hierarchy in time")
-    hsub.add_parser("stationary", help="solve the stationary equation")
-    sub.add_parser("vlasov", help="integrate the mean-field density equation")
-    sub.add_parser("scale-compare", help="scaled hierarchy vs mean-field error table")
+    for name, (*_, text) in _COMMANDS.items():
+        (hsub if name.startswith("hierarchy ") else sub).add_parser(name.split()[-1], help=text)
     return parser
 
-
-_DISPATCH = {
-    "check": cmd_check,
-    "simulate": cmd_simulate,
-    ("hierarchy", "evolve"): cmd_hierarchy_evolve,
-    ("hierarchy", "stationary"): cmd_hierarchy_stationary,
-    "vlasov": cmd_vlasov,
-    "scale-compare": cmd_scale_compare,
-}
 
 # Built once per process: parsing only reads the parser, and `main` may
 # run many times in one process (building it costs about 1 ms per call).
 _PARSER = build_parser()
+
+
+def _validate(args, needs, defaults) -> tuple:
+    """The config as read, its settings and the output directory, all keys checked."""
+    cfg = load_config(args.config)
+    settings = _read(cfg, _CONFIG, "")
+    run, space = settings["run"], settings["space"]
+    run.update((key, value) for key, value in defaults.items() if key not in cfg.get("run", {}))
+    missing = [key for key in needs if run[key] is None]
+    if missing:
+        raise ConfigError(f"missing required key run.{missing[0]}")
+    T = run["T"]
+    for t in run["snapshot_times"] or ():
+        if T is not None and not t <= T + 1e-12:
+            raise ConfigError(f"run.snapshot_times: snapshot time {t} lies outside [0, T = {T}]")
+    if run["scaled"] and not run["eps"] > 0:
+        raise ConfigError(f"run.eps = {run['eps']} must be > 0 when run.scaled is true")
+    rho, nodes = run["initial_density"], space["M"] ** space["d"]
+    if isinstance(rho, list) and len(rho) != nodes:
+        raise ConfigError(f"run.initial_density has {len(rho)} entries, not 1 or M^d = {nodes}")
+    if run["homogeneous"] is None:
+        run["homogeneous"] = bool(np.ptp(rho) == 0)
+    elif run["homogeneous"] and np.ptp(rho) != 0:
+        raise ConfigError("run.homogeneous is true, but run.initial_density is not constant")
+    if run["initial"] and any(len(x) != space["d"] for x in run["initial"].get("points", ())):
+        raise ConfigError(f"run.initial.points: each point needs d = {space['d']} coordinates")
+    if args.seed is not None:
+        run["seed"] = _value(args.seed, int, _NONNEGATIVE, "--seed")
+    if not (args.out or settings["output"]["directory"]):
+        raise ConfigError("no output directory: set output.directory or pass --out")
+    return cfg, settings, Path(args.out or settings["output"]["directory"])
 
 
 def main(argv=None) -> int:
@@ -550,16 +451,35 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        cfg = load_config(args.config)
-        key = args.command if args.command != "hierarchy" else ("hierarchy", args.subcommand)
-        return _DISPATCH[key](cfg, args)
-    except (ConfigError, ValueError) as exc:
+    name = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+    compute, needs, defaults, _ = _COMMANDS[name]
+    try:   # only validate and build raise ConfigError
+        cfg, settings, out_dir = _validate(args, needs, defaults)
+        started = time.perf_counter()
+        torus, grid = build_space(cfg)
+        model = build_model(cfg, torus, grid)
+        built = time.perf_counter()
+        tables, extras, code = compute(model, grid, settings["run"], settings["weights"], args)
+        computed = time.perf_counter()
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for file_name, table in tables.items():
+            if isinstance(table, dict):
+                _write_json(out_dir / file_name, table)
+            else:
+                write_csv(out_dir / file_name, *table)
+        timings = {"build_s": built - started, "compute_s": computed - built,
+                   "write_s": time.perf_counter() - computed}
+        write_manifest(out_dir, cfg, name, started, dict(timings=timings, **{
+            key: value(timings) if callable(value) else value for key, value in extras.items()}))
+        return code
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ConditionError, BlowUpError, SimulationAbort, StabilityError,
-            KernelBoundError) as exc:
+    except BirthDeathError as exc:
         print(f"aborted: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:   # not expected of a validated run
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -239,11 +239,15 @@ class _Layout:
 
 class _DenseLayout(_Layout):
     """Operands as stored: (N, N) tables indexed by node pairs, each
-    gathered once from its offset profile, `profile[grid.offset_index]`."""
+    gathered once from its offset profile, `profile[grid.offset_index]`.
+    States of order one read no pair rates, so at `order` 1 the layout
+    holds None for D2 and B2 instead of gathering them."""
 
-    def __init__(self, t: KernelTables, grid: Grid):
+    def __init__(self, t: KernelTables, grid: Grid, order: int = 2):
         self.rows = grid.node_count
         self.w = grid.weight
+        if order < 2:
+            t = replace(t, D2=None, B2=None)
         self.t = t.map_pairs(lambda p: p[grid.offset_index])
 
     def wmatmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -281,9 +285,10 @@ class _CirculantLayout(_Layout):
         return a[:, self.grid.negated_offset]
 
 
-def _layout(t: KernelTables, grid: Grid, homogeneous: bool) -> _Layout:
-    """The operands of one run: the tables in the layout of its states."""
-    return (_CirculantLayout if homogeneous else _DenseLayout)(t, grid)
+def _layout(t: KernelTables, grid: Grid, homogeneous: bool, order: int = 2) -> _Layout:
+    """The operands of one run: the tables in the layout of its states,
+    which are of order `order`."""
+    return _CirculantLayout(t, grid) if homogeneous else _DenseLayout(t, grid, order)
 
 
 def _pair_operand(lay: _Layout, k: CorrelationVector, closure: str) -> np.ndarray:
@@ -412,7 +417,7 @@ def apply_dual_generator(model: RateModel, k: CorrelationVector,
     is conserved by the induced flow.
     """
     tables = model.hierarchy_tables(k.grid, cfg.eps)
-    return _apply_tables(_layout(tables, k.grid, k.homogeneous), k, cfg)
+    return _apply_tables(_layout(tables, k.grid, k.homogeneous, k.order), k, cfg)
 
 
 def _ks_tables(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig,
@@ -449,7 +454,7 @@ def ks_operator(model: RateModel, k: CorrelationVector,
     unscaled (eps = 1) kernels.
     """
     tables = model.hierarchy_tables(k.grid, eps=1.0)
-    return _ks_tables(_layout(tables, k.grid, k.homogeneous), k, cfg, model.name)
+    return _ks_tables(_layout(tables, k.grid, k.homogeneous, k.order), k, cfg, model.name)
 
 
 @dataclass(frozen=True)
@@ -616,7 +621,7 @@ def evolve(model: RateModel, k0: CorrelationVector, T: float,
                 RuntimeWarning)
 
     norm0 = max(k0.ruelle_norm(), 1e-300)
-    lay = _layout(tables, grid, k0.homogeneous)
+    lay = _layout(tables, grid, k0.homogeneous, k0.order)
 
     def step(k: CorrelationVector, dt: float, t: float) -> CorrelationVector:
         f1 = _apply_tables(lay, k, cfg)

@@ -62,7 +62,7 @@ class BoxKernel(RadialKernel):
     radius: float
 
     def __post_init__(self):
-        if self.height < 0 or self.radius <= 0:
+        if not (self.height >= 0 and self.radius > 0):
             raise ValueError("height must be >= 0 and radius positive")
 
     @property
@@ -91,7 +91,7 @@ class GaussianKernel(RadialKernel):
     cutoff: float
 
     def __post_init__(self):
-        if self.height < 0 or self.sigma <= 0 or self.cutoff <= 0:
+        if not (self.height >= 0 and self.sigma > 0 and self.cutoff > 0):
             raise ValueError("height >= 0 and sigma, cutoff positive required")
 
     @property

@@ -300,8 +300,9 @@ def run_ensemble(model: RateModel, initial, T: float, replicas: int, seed: int,
     if snapshot_times is None:
         snapshot_times = [T]
     snap_times = np.sort(np.asarray(list(snapshot_times), dtype=float))
-    if len(snap_times) == 0 or snap_times[0] < 0:
-        raise ValueError("snapshot times must be nonnegative and nonempty")
+    # NaN sorts last and would never be reached: the chain would not stop
+    if len(snap_times) == 0 or not (snap_times[0] >= 0 and np.isfinite(snap_times[-1])):
+        raise ValueError("snapshot times must be finite, nonnegative and nonempty")
 
     torus = model.torus
     width = torus.length / (2.0 * estimator_grid.m)

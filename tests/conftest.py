@@ -4,6 +4,15 @@ import pytest
 from birthdeath import FiniteConfiguration, Grid, SetFunction, Torus
 
 
+@pytest.fixture(autouse=True)
+def strict_floating_point():
+    """Every test runs with numpy overflow, invalid operations and division
+    by zero raising FloatingPointError, so a NaN or inf made on a tested
+    path fails its test; a test that expects one sets its own errstate."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        yield
+
+
 @pytest.fixture
 def torus1():
     return Torus(1, 1.0)

@@ -94,6 +94,12 @@ def test_traced_cli_run_passes_the_workload_checks(tmp_path, name):
         assert not hasattr(cls.__dict__["death_rates"], "__wrapped__")
 
 
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_workload_config_validates(tmp_path, name):
+    cfg, cfg_path = write_config(tmp_path, workloads.WORKLOADS[name])
+    assert cli.load_config(str(cfg_path)) == cfg
+
+
 @pytest.mark.parametrize("name", GATED)
 def test_benchmark_setup_sequence_runs(tmp_path, monkeypatch, name):
     """The set-up that run.py times, as it runs it: load the config, build

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import birthdeath
-from birthdeath.cli import main
+from birthdeath import cli
+from birthdeath.cli import load_config, main
+from birthdeath.errors import ConfigError
 
 
 def write_config(path, cfg):
@@ -57,7 +59,7 @@ def glauber_config(out_dir, z=0.3, s=0.5, M=32):
 
 def assert_reports_write_time(out_dir):
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["write_csv_s"] >= 0
+    assert manifest["timings"]["write_s"] >= 0
 
 
 def read_csv(path):
@@ -103,6 +105,17 @@ class TestCheck:
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"), "check"]) == 2
 
+    def test_failed_verification_is_named(self, tmp_path, capsys):
+        # at M = 256 the measured a1 exceeds the declared one on a sample
+        cfg = glauber_config(tmp_path / "out", M=256)
+        cfg["run"] = {"verify_samples": 20}
+        assert main(["--config", write_config(tmp_path / "c.json", cfg), "check"]) == 1
+        verified = json.loads((tmp_path / "out" / "report.json").read_text())["verified"]
+        assert verified["holds"] is False
+        line, = capsys.readouterr().out.splitlines()
+        assert line.startswith("conditions FAIL: ")
+        assert line.endswith(f"; verification failed: {verified['reason']}")
+
 
 class TestSimulate:
     def test_outputs_and_reproducibility(self, tmp_path):
@@ -134,9 +147,9 @@ class TestSimulate:
         offered = births + sum(ev["rejections"] for ev in events)
         assert offered > 0
         assert manifest["acceptance_ratio"] == births / offered
-        assert manifest["run_ensemble_s"] > 0
+        assert manifest["timings"]["compute_s"] > 0
         assert manifest["proposals_per_s"] == pytest.approx(
-            sum(ev["proposals"] for ev in events) / manifest["run_ensemble_s"])
+            sum(ev["proposals"] for ev in events) / manifest["timings"]["compute_s"])
         assert "SeedSequence" in manifest["replica_seeding"]
         assert_reports_write_time(tmp_path / "out")
 
@@ -228,7 +241,7 @@ class TestHierarchy:
         assert (tmp_path / "out" / "k2.csv").exists()
         assert_reports_write_time(tmp_path / "out")
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["evolve_s"] >= 0
+        assert manifest["timings"]["compute_s"] >= 0
 
     def test_homogeneous_flag_with_varying_density_is_config_error(self, tmp_path, capsys):
         cfg = glauber_config(tmp_path / "out", M=16)
@@ -287,6 +300,137 @@ class TestTimeValues:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["times"] == [0.1, 0.11]
         assert manifest["step_times"] == [2 * 0.3 / 6] * 2
+
+
+def valid_config(out_dir):
+    """One configuration that every subcommand accepts: each block has one
+    key set, whichever subcommand reads it."""
+    cfg = glauber_config(out_dir, M=16)
+    cfg["run"] = {"T": 0.2, "dt": 0.05, "replicas": 1, "initial_density": 0.2,
+                  "initial": {"type": "poisson", "intensity": 5.0}, "tol": 1e-10,
+                  "max_iter": 1000, "eps_list": [1.0, 0.5]}
+    return cfg
+
+
+def put(cfg, path, value):
+    block = cfg
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+
+
+COMMANDS = [["check"], ["simulate"], ["hierarchy", "evolve"], ["hierarchy", "stationary"],
+            ["vlasov"], ["scale-compare"]]
+
+
+class TestKeyTable:
+    """A bad value exits 2 before any work: one stderr line that names the
+    block and the key, no traceback and no output directory."""
+
+    @pytest.mark.parametrize("command,path,value", [
+        (["hierarchy", "evolve"], ("space", "M"), 16.7),
+        (["simulate"], ("run", "replicas"), 1.5),
+        (["simulate"], ("model", "phi", "radius"), math.nan),
+        (["hierarchy", "stationary"], ("run", "tol"), -1),
+        (["hierarchy", "stationary"], ("run", "max_iter"), 0),
+        (["hierarchy", "evolve"], ("weights", "C"), math.nan),
+        (["check"], ("weights", "C"), math.nan),
+        (["check"], ("weights", "C"), 1.0),
+        (["hierarchy", "evolve"], ("space", "M"), True),
+        (["hierarchy", "evolve"], ("weights", "N_max"), 3),
+        (["hierarchy", "evolve"], ("weights", "closure"), "none"),
+        (["simulate"], ("model", "z"), math.nan),
+        (["simulate"], ("model", "s"), 1.5),
+        (["simulate"], ("run", "initial", "intensity"), -math.inf),
+        (["simulate"], ("run", "population_cap"), 0),
+        (["simulate"], ("run", "scaled"), "yes"),
+        (["vlasov"], ("run", "dt"), math.inf),
+        (["vlasov"], ("run", "initial_density"), [0.2] * 15 + [math.nan]),
+        (["vlasov"], ("run", "initial_density"), -0.1),
+        (["scale-compare"], ("run", "eps_list"), [1.0, 1.5]),
+        (["scale-compare"], ("run", "snapshot_times"), [0.1, -0.1]),
+        (["hierarchy", "evolve"], ("run", "homogeneous"), None),
+        (["check"], ("model", "phi", "shape"), "disc"),
+        (["check"], ("model", "phi", "sigma"), 0.1),
+    ])
+    def test_rejected(self, tmp_path, capsys, command, path, value):
+        cfg = valid_config(tmp_path / "out")
+        put(cfg, path, value)
+        assert main(["--config", write_config(tmp_path / "c.json", cfg), *command]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: "), captured.err
+        assert ".".join(path[:-1]) in lines[0] and path[-1] in lines[0], lines[0]
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "out").exists()
+
+    def test_nan_horizon_is_rejected_by_the_validator(self, tmp_path):
+        # through the validator only: were the check lost, `simulate` would hang
+        cfg = valid_config(tmp_path / "out")
+        cfg["run"]["T"] = math.nan
+        with pytest.raises(ConfigError, match=r"^run\.T = nan "):
+            load_config(write_config(tmp_path / "c.json", cfg))
+
+    def test_overflowing_literal_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(valid_config(tmp_path / "out")).replace('"T": 0.2', '"T": 1e999'))
+        assert main(["--config", str(path), "vlasov"]) == 2
+        assert "run.T = inf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_valid_config_validates_for_every_subcommand(self, tmp_path, command):
+        cfg = valid_config(tmp_path / "out")
+        args = cli._PARSER.parse_args(["--config", write_config(tmp_path / "c.json", cfg),
+                                       *command])
+        _, needs, defaults, _ = cli._COMMANDS[" ".join(command)]
+        loaded, settings, out_dir = cli._validate(args, needs, defaults)
+        assert loaded == cfg and out_dir == tmp_path / "out"
+        assert settings["weights"] == {"C": 1.5, "zeta_max": 2, "N_max": 2, "closure": "poisson"}
+        assert settings["run"]["snapshots"] == (1 if command == ["simulate"] else 5)
+
+    @pytest.mark.parametrize("run,named", [
+        ({"T": 1.0}, "run.replicas"),
+        ({"T": 1.0, "replicas": 1, "initial": {"type": "fixed", "points": [[0.1, 0.2]]}},
+         "run.initial.points"),
+        ({"T": 1.0, "replicas": 1, "initial": {"type": "poisson", "intensity": 1.0},
+          "snapshot_times": [0.5, 1.5]}, "snapshot time 1.5"),
+        ({"T": 1.0, "replicas": 1, "initial": {"type": "poisson", "intensity": 1.0},
+          "initial_density": [0.2, 0.3]}, "run.initial_density"),
+    ])
+    def test_rules_across_keys(self, tmp_path, capsys, run, named):
+        cfg = glauber_config(tmp_path / "out", M=16)
+        cfg["run"] = run
+        assert main(["--config", write_config(tmp_path / "c.json", cfg), "simulate"]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", valid_config(tmp_path / "out"))
+        assert main(["--config", path, "--seed", "-1", "simulate"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_error_escaping_compute_is_not_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("broken engine")
+        monkeypatch.setattr(cli, "evolve", broken)
+        path = write_config(tmp_path / "c.json", valid_config(tmp_path / "out"))
+        assert main(["--config", path, "hierarchy", "evolve"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: broken engine"]
+        assert not (tmp_path / "out").exists()
+
+
+class TestTimings:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_manifest_times_the_same_phases(self, tmp_path, command):
+        cfg = valid_config(tmp_path / "out")
+        assert main(["--config", write_config(tmp_path / "c.json", cfg), *command]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        timings = manifest["timings"]
+        assert sorted(timings) == ["build_s", "compute_s", "write_s"]
+        assert min(timings.values()) >= 0
+        assert sum(timings.values()) <= manifest["wall_time_s"]
+        assert not {"evolve_s", "run_ensemble_s", "write_csv_s"} & set(manifest)
 
 
 class TestInProcessRepeats:

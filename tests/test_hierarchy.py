@@ -304,6 +304,25 @@ class TestTranslationInvariantTables:
                     assert np.array_equal(table, expect[name]), case
                     assert np.array_equal(table, table[0][grid.offset_index]), case
 
+    def test_order_one_dense_layout_gathers_no_pair_rates(self):
+        # order-one operators read Gd, Gb (or Ad, Ab) but never D2 or B2
+        torus = Torus(1, 1.0)
+        grid = Grid(torus, 20)
+        rho = 0.26 + 0.04 * np.cos(2 * np.pi * np.arange(20) / 20)
+        k = CorrelationVector.coherent(grid, 1.5, rho, order=1)
+        for model in box_models(torus, grid) + oracle_models(torus):
+            tables = model.hierarchy_tables(grid)
+            order1 = _layout(tables, grid, homogeneous=False, order=1)
+            full = _layout(tables, grid, homogeneous=False)
+            assert order1.t.D2 is None and order1.t.B2 is None, model.name
+            assert full.t.D2.shape == full.t.B2.shape == (20, 20)
+            for closure, z in (("poisson", 3), ("zero", 2)):
+                cfg = HierarchyConfig(zeta_max=z, closure=closure)
+                for a, b in ((_apply_tables(order1, k, cfg), _apply_tables(full, k, cfg)),
+                             (_ks_tables(order1, k, cfg, model.name),
+                              _ks_tables(full, k, cfg, model.name))):
+                    assert a.k2 is None and np.array_equal(a.k1, b.k1), (model.name, closure)
+
     def test_tables_and_layout_operands_are_read_only(self):
         torus = Torus(2, 1.0)
         grid = Grid(torus, 8)

@@ -179,6 +179,14 @@ class TestModelStructure:
         with pytest.raises(ValueError):
             GlauberModel(torus1, s=0.5, z=0.1, phi=BoxKernel(0.1, 0.8))
 
+    def test_kernels_reject_nan_parameters(self):
+        nan = math.nan
+        for make in (lambda: BoxKernel(nan, 0.1), lambda: BoxKernel(0.4, nan),
+                     lambda: GaussianKernel(nan, 0.05, 0.2), lambda: GaussianKernel(1.0, nan, 0.2),
+                     lambda: GaussianKernel(1.0, 0.05, nan)):
+            with pytest.raises(ValueError):
+                make()
+
     def test_normalized_kernel_grid_mass_is_one(self, grid16):
         for base in (BoxKernel(2.0, 0.13), GaussianKernel(1.0, 0.05, 0.2)):
             a = normalize_on_grid(base, grid16)

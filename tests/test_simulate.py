@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -231,6 +232,22 @@ class TestEnsemble:
             with pytest.raises(ValueError, match="eps"):
                 run_ensemble(db_model, PoissonInitial(0.6), T=1.0, replicas=1, seed=0,
                              estimator_grid=grid10, eps=eps, scaled=scaled)
+
+    def test_nan_snapshot_time_raises_at_once(self, db_model, grid10):
+        # NaN sorts last and is never reached: unchecked, the chain never stops,
+        # so an alarm ends the test instead of hanging the suite
+        def hang(signum, frame):
+            raise AssertionError("run_ensemble did not reject a NaN snapshot time")
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            for times in ([0.0, math.nan], [math.nan], [0.5, math.inf], [-math.inf, 1.0]):
+                with pytest.raises(ValueError, match="finite"):
+                    run_ensemble(db_model, PoissonInitial(0.6), T=1.0, replicas=1, seed=0,
+                                 estimator_grid=grid10, snapshot_times=times)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_validates_replicas(self, db_model, grid10):
         with pytest.raises(ValueError):
