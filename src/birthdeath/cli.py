@@ -268,9 +268,11 @@ def _check(model, grid, run, weights, args):
     report = check_conditions(model, weights["C"], grid)
     payload = report.as_dict()
     if run["verify_samples"]:
-        rng, torus = np.random.Generator(np.random.PCG64(run["verify_seed"])), grid.torus
-        samples = [FiniteConfiguration(rng.uniform(0, torus.length, (rng.integers(1, 4), torus.dim)),
-                                       torus) for _ in range(run["verify_samples"])]
+        # 1 to 3 distinct grid nodes per sample: the declared constants are grid
+        # sums of kernel profiles at node offsets, which off-grid points miss
+        rng, n = np.random.Generator(np.random.PCG64(run["verify_seed"])), grid.node_count
+        samples = [FiniteConfiguration(grid.nodes[rng.choice(n, rng.integers(1, 4), replace=False)],
+                                       grid.torus) for _ in range(run["verify_samples"])]
         try:
             a1_hat, a2_hat = verify_kernel_bounds(model, weights["C"], grid, samples,
                                                   declared=(report.a1, report.a2))
@@ -428,6 +430,8 @@ def _validate(args, needs, defaults) -> tuple:
     for t in run["snapshot_times"] or ():
         if T is not None and not t <= T + 1e-12:
             raise ConfigError(f"run.snapshot_times: snapshot time {t} lies outside [0, T = {T}]")
+    if T is not None and run["burn_in"] > T:
+        raise ConfigError(f"run.burn_in = {run['burn_in']} must be <= T = {T}")
     if run["scaled"] and not run["eps"] > 0:
         raise ConfigError(f"run.eps = {run['eps']} must be > 0 when run.scaled is true")
     rho, nodes = run["initial_density"], space["M"] ** space["d"]

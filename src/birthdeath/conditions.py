@@ -4,9 +4,11 @@ Computes the kernel-integral constants (a1, a2) of the implemented
 models for a given Ruelle weight C, evaluates the inequality chain that
 guarantees well-posedness of the hierarchy evolution (a1 + a2/C < 3/2),
 the weaker stationary-solver condition (< 2), the growth-constant window
-for nu, and the admissible alpha interval.  A numerical verifier
-cross-checks the declared constants against dense kernel integrals on
-sampled configurations.
+for nu, and the admissible alpha interval.  Each model's quantities that
+do not depend on C (the beta integrals, the kernel profiles) are computed
+once per check and serve both the report at C and the scan for the C that
+minimizes a1 + a2/C.  A numerical verifier cross-checks the declared
+constants against dense kernel integrals on sampled configurations.
 """
 from __future__ import annotations
 
@@ -23,53 +25,58 @@ from .models import BDLPModel, GlauberModel, RateModel
 from .space import Grid
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConditionReport:
-    """Constants and boolean flags of the sufficient-condition check."""
+    """Constants and flags of the sufficient-condition check at Ruelle
+    weight C.  Every bound and window is derived from (C, a1, a2, nu), so
+    a report cannot contradict itself."""
 
     model: str
     C: float
     a1: float
     a2: float
-    sum_a: float                    # a1 + a2 / C
-    bound_3_2: bool                 # a1 + a2/C < 3/2 (hierarchy semigroup)
-    bound_2: bool                   # a1 + a2/C < 2 (stationary solver)
     nu: float
-    nu_window: bool                 # 1 <= nu < (C / a2) (3/2 - a1)
-    alpha_window: Optional[tuple]   # open interval, or None when empty
-    contraction_q: float            # a1 + a2/C - 1, the fixed-point operator norm bound
     inequalities: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
     best_C: Optional[dict] = None
 
-    def __post_init__(self):
-        # internal consistency: the stronger bound implies the weaker one,
-        # and the alpha window is nonempty exactly on the nu window
-        if self.bound_3_2 and not self.bound_2:
-            raise ValueError("inconsistent report: bound_3_2 holds but bound_2 does not")
-        if (self.alpha_window is not None) != self.nu_window:
-            raise ValueError(
-                f"inconsistent report: alpha_window {self.alpha_window} "
-                f"with nu_window {self.nu_window}")
+    @property
+    def sum_a(self) -> float:               # a1 + a2 / C
+        return self.a1 + self.a2 / self.C
+
+    @property
+    def bound_3_2(self) -> bool:            # a1 + a2/C < 3/2 (hierarchy semigroup)
+        return self.sum_a < 1.5
+
+    @property
+    def bound_2(self) -> bool:              # a1 + a2/C < 2 (stationary solver)
+        return self.sum_a < 2.0
+
+    @property
+    def contraction_q(self) -> float:       # the fixed-point operator norm bound
+        return self.sum_a - 1.0
+
+    @property
+    def alpha_window(self) -> Optional[tuple]:
+        """The admissible open interval for the weight-shrinking factor
+        alpha, or None when it is empty."""
+        if self.a1 >= 1.5:
+            return None
+        lo, hi = self.a2 / (self.C * (1.5 - self.a1)), 1.0 / self.nu
+        return (lo, hi) if lo < hi else None
+
+    @property
+    def nu_window(self) -> bool:            # 1 <= nu < (C / a2) (3/2 - a1)
+        return self.alpha_window is not None
 
     def as_dict(self) -> dict:
-        out = {
-            "model": self.model,
-            "C": self.C,
-            "a1": self.a1,
-            "a2": self.a2,
-            "a1_plus_a2_over_C": self.sum_a,
-            "bound_3_2": self.bound_3_2,
-            "bound_2": self.bound_2,
-            "nu": self.nu,
-            "nu_window": self.nu_window,
-            "alpha_window": list(self.alpha_window) if self.alpha_window else None,
-            "contraction_q": self.contraction_q,
-            "inequalities": self.inequalities,
-            "details": self.details,
-            "best_C": self.best_C,
-        }
-        return out
+        window = self.alpha_window
+        return {"model": self.model, "C": self.C, "a1": self.a1, "a2": self.a2,
+                "a1_plus_a2_over_C": self.sum_a, "bound_3_2": self.bound_3_2,
+                "bound_2": self.bound_2, "nu": self.nu, "nu_window": self.nu_window,
+                "alpha_window": list(window) if window else None,
+                "contraction_q": self.contraction_q, "inequalities": self.inequalities,
+                "details": self.details, "best_C": self.best_C}
 
     def failed_inequalities(self) -> list:
         return [name for name, item in self.inequalities.items() if not item["holds"]]
@@ -92,129 +99,122 @@ def beta_tau(phi, tau: float, grid: Grid) -> float:
     return float(grid.weight * np.sum(np.abs(np.expm1(tau * vals))))
 
 
-def _alpha_window(a1: float, a2: float, C: float, nu: float):
-    """The admissible open interval for the weight-shrinking factor alpha."""
-    if a1 >= 1.5:
-        return None, False
-    hi = 1.0 / nu
-    lo = a2 / (C * (1.5 - a1))
-    nu_ok = lo < hi
-    return ((lo, hi) if nu_ok else None), nu_ok
+class _GlauberConditions:
+    """The C-independent part of the Glauber conditions: beta_s and
+    beta_{s-1} from one profile of phi (at s = 0, beta_{s-1} is beta_{-1}),
+    and phi_bar."""
+
+    def __init__(self, model: GlauberModel, grid: Grid):
+        self.model = model
+        phi = model.phi.profile(grid)
+        self.b_s = beta_tau(phi, model.s, grid)
+        self.b_s1 = beta_tau(phi, model.s - 1.0, grid)
+
+    def constants(self, C: float):
+        """(a1, a2, nu) at Ruelle weight C."""
+        m = self.model
+        return math.exp(C * self.b_s), m.z * math.exp(C * self.b_s1), m.growth_constants(C)[2]
+
+    def report(self, C: float, best_C: dict) -> ConditionReport:
+        m = self.model
+        r = ConditionReport(m.name, C, *self.constants(C), best_C=best_C, details={
+            "beta_s": self.b_s, "beta_s_minus_1": self.b_s1, "phi_bar": m.phi_bar})
+        stronger = r.a1 + r.a2 * r.nu / C
+        r.inequalities.update({
+            "sn0smallz": {"lhs": r.sum_a, "rhs": 1.5, "holds": r.bound_3_2,
+                          "text": "exp(C b_s) + (z/C) exp(C b_{s-1}) < 3/2"},
+            "statior": {"lhs": r.sum_a, "rhs": 2.0, "holds": r.bound_2,
+                        "text": "a1 + a2/C < 2"},
+            "stronger_sn0smallz": {"lhs": stronger, "rhs": 1.5, "holds": stronger < 1.5,
+                                   "text": "exp(C b_s) + (z/C) exp(s phi_bar + C b_{s-1}) < 3/2"},
+        })
+        if m.s == 0.0:
+            lhs0 = (m.z / C) * math.exp(C * self.b_s1)
+            r.inequalities["s0smallz"] = {"lhs": lhs0, "rhs": 0.5, "holds": lhs0 < 0.5,
+                                          "text": "(z/C) exp(C b_{-1}) < 1/2"}
+        return r
 
 
-def _glauber_report(model: GlauberModel, C: float, grid: Grid) -> ConditionReport:
-    b_s = beta_tau(model.phi, model.s, grid)
-    b_s1 = beta_tau(model.phi, model.s - 1.0, grid)
-    a1 = math.exp(C * b_s)
-    a2 = model.z * math.exp(C * b_s1)
-    sum_a = a1 + a2 / C
-    _, _, nu = model.growth_constants(C)
-    window, nu_ok = _alpha_window(a1, a2, C, nu)
+class _BDLPConditions:
+    """The C-independent part of the BDLP conditions: the a- and a+
+    profiles and their grid masses.  The modified model (kappa > 0) has
+    shift 2 where the plain one has 4, in the slack delta and in both
+    small-parameter inequalities."""
 
-    ineq = {
-        "sn0smallz": {"lhs": sum_a, "rhs": 1.5, "holds": sum_a < 1.5,
-                      "text": "exp(C b_s) + (z/C) exp(C b_{s-1}) < 3/2"},
-        "statior": {"lhs": sum_a, "rhs": 2.0, "holds": sum_a < 2.0,
-                    "text": "a1 + a2/C < 2"},
-        "stronger_sn0smallz": {"lhs": a1 + a2 * nu / C, "rhs": 1.5,
-                               "holds": a1 + a2 * nu / C < 1.5,
-                               "text": "exp(C b_s) + (z/C) exp(s phi_bar + C b_{s-1}) < 3/2"},
-    }
-    if model.s == 0.0:
-        lhs0 = (model.z / C) * math.exp(C * beta_tau(model.phi, -1.0, grid))
-        ineq["s0smallz"] = {"lhs": lhs0, "rhs": 0.5, "holds": lhs0 < 0.5,
-                            "text": "(z/C) exp(C b_{-1}) < 1/2"}
+    def __init__(self, model: BDLPModel, grid: Grid):
+        self.model, self.grid = model, grid
+        self.am = model.a_minus.profile(grid)
+        self.ap = model.a_plus.profile(grid)
+        self.modified = model.kappa > 0
+        self.shift = 2.0 if self.modified else 4.0
+        self.masses = {"a_minus_grid_mass": float(grid.weight * self.am.sum()),
+                       "a_plus_grid_mass": float(grid.weight * self.ap.sum())}
 
-    return ConditionReport(
-        model=model.name, C=C, a1=a1, a2=a2, sum_a=sum_a,
-        bound_3_2=sum_a < 1.5, bound_2=sum_a < 2.0,
-        nu=nu, nu_window=nu_ok, alpha_window=window,
-        contraction_q=sum_a - 1.0,
-        inequalities=ineq,
-        details={"beta_s": b_s, "beta_s_minus_1": b_s1, "phi_bar": model.phi_bar},
-    )
+    def _slack(self, C: float):
+        """(denom, delta): max{kminus C, 2 kappa / C} (modified) or kminus C,
+        and the largest admissible delta, the slack of the strict inequality."""
+        m = self.model
+        denom = max(m.kappa_minus * C, 2.0 * m.kappa / C) if self.modified else m.kappa_minus * C
+        return denom, math.inf if denom == 0 else m.m / denom - self.shift
 
+    def constants(self, C: float):
+        """(a1, a2, nu) at Ruelle weight C."""
+        _, delta = self._slack(C)
+        a1 = 1.0 if math.isinf(delta) else 1.0 + 1.0 / (self.shift + delta)
+        return a1, C / self.shift, self.model.growth_constants(C)[2]
 
-def _bdlp_report(model: BDLPModel, C: float, grid: Grid) -> ConditionReport:
-    am = model.a_minus.profile(grid)
-    ap = model.a_plus.profile(grid)
-    modified = model.kappa > 0
-
-    if modified:
-        # 2 max{kappa^- C, 2 kappa / C} < m and 2 kappa^+ a^+ <= C kappa^- a^- pointwise
-        denom = max(model.kappa_minus * C, 2.0 * model.kappa / C)
-        small_1 = {"lhs": 2.0 * denom, "rhs": model.m, "holds": 2.0 * denom < model.m,
-                   "text": "2 max{kminus C, 2 kappa / C} < m"}
-        point_lhs = 2.0 * model.kappa_plus * ap
-        point_rhs = C * model.kappa_minus * am
-        point_text = "2 kplus a+(x) <= C kminus a-(x) on the grid"
-        shift = 2.0
-    else:
-        denom = model.kappa_minus * C
-        small_1 = {"lhs": 4.0 * denom, "rhs": model.m, "holds": 4.0 * denom < model.m,
-                   "text": "4 kminus C < m"}
-        point_lhs = 4.0 * model.kappa_plus * ap
-        point_rhs = C * model.kappa_minus * am
-        point_text = "4 kplus a+(x) <= C kminus a-(x) on the grid"
-        shift = 4.0
-
-    viol = point_lhs - point_rhs
-    worst = int(np.argmax(viol))
-    point_ok = bool(viol[worst] <= 1e-12 * max(1.0, float(np.max(np.abs(point_rhs)))))
-    pointwise = {"holds": point_ok, "text": point_text,
-                 "worst_node": worst,
-                 "worst_node_coords": grid.nodes[worst].tolist(),
-                 "worst_margin": float(viol[worst])}
-
-    # the strict-inequality slack gives the largest admissible delta
-    delta = math.inf if denom == 0 else model.m / denom - shift
-    a1 = 1.0 if math.isinf(delta) else 1.0 + 1.0 / (shift + delta)
-    a2 = C / shift
-    sum_a = a1 + a2 / C
-    _, _, nu = model.growth_constants(C)
-    window, nu_ok = _alpha_window(a1, a2, C, nu)
-
-    key = "aaa1" if modified else "smallparBDLP-1"
-    key2 = "aaa2" if modified else "smallparBDLP-2"
-    combined = {"lhs": sum_a, "rhs": 1.5, "holds": sum_a < 1.5,
-                "text": "a1 + a2/C < 3/2"}
-    return ConditionReport(
-        model=model.name, C=C, a1=a1, a2=a2, sum_a=sum_a,
-        bound_3_2=sum_a < 1.5, bound_2=sum_a < 2.0,
-        nu=nu, nu_window=nu_ok, alpha_window=window,
-        contraction_q=sum_a - 1.0,
-        inequalities={key: small_1, key2: pointwise, "asmall": combined},
-        details={"delta": delta, "a_minus_grid_mass": float(grid.weight * am.sum()),
-                 "a_plus_grid_mass": float(grid.weight * ap.sum())},
-    )
+    def report(self, C: float, best_C: dict) -> ConditionReport:
+        m, grid = self.model, self.grid
+        denom, delta = self._slack(C)
+        r = ConditionReport(m.name, C, *self.constants(C), best_C=best_C,
+                            details={"delta": delta, **self.masses})
+        # shift denom < m, and shift kplus a+ <= C kminus a- pointwise
+        lhs = self.shift * denom
+        small_1 = {"lhs": lhs, "rhs": m.m, "holds": lhs < m.m,
+                   "text": "2 max{kminus C, 2 kappa / C} < m" if self.modified
+                   else "4 kminus C < m"}
+        point_rhs = C * m.kappa_minus * self.am
+        viol = self.shift * m.kappa_plus * self.ap - point_rhs
+        worst = int(np.argmax(viol))
+        pointwise = {
+            "holds": bool(viol[worst] <= 1e-12 * max(1.0, float(np.max(np.abs(point_rhs))))),
+            "text": f"{self.shift:g} kplus a+(x) <= C kminus a-(x) on the grid",
+            "worst_node": worst, "worst_node_coords": grid.nodes[worst].tolist(),
+            "worst_margin": float(viol[worst])}
+        keys = ("aaa1", "aaa2") if self.modified else ("smallparBDLP-1", "smallparBDLP-2")
+        r.inequalities.update({keys[0]: small_1, keys[1]: pointwise, "asmall": {
+            "lhs": r.sum_a, "rhs": 1.5, "holds": r.bound_3_2, "text": "a1 + a2/C < 3/2"}})
+        return r
 
 
-def check_conditions(model: RateModel, C: float, grid: Grid,
-                     scan_best_C: bool = True) -> ConditionReport:
-    """Evaluate the sufficient conditions of a model at Ruelle weight C.
+def _best_C(constants) -> dict:
+    """The first C of a log grid in (1, 10] at which a1 + a2/C is least,
+    from `constants(C) -> (a1, a2, nu)`.  A C at which exp(C beta)
+    overflows ranks last."""
+    def sum_a(c: float) -> float:
+        try:
+            a1, a2, _ = constants(c)
+        except OverflowError:
+            return math.inf
+        return a1 + a2 / c
 
-    Also reports (as a convenience) the C on a log grid in (1, 10] that
-    minimizes a1 + a2/C.
-    """
+    best = min(map(float, np.geomspace(1.01, 10.0, 120)), key=sum_a)
+    return {"C": best, "a1_plus_a2_over_C": sum_a(best)}
+
+
+def check_conditions(model: RateModel, C: float, grid: Grid) -> ConditionReport:
+    """Evaluate the sufficient conditions of a model at Ruelle weight C; the
+    report also carries best_C, the C on a log grid in (1, 10] that
+    minimizes a1 + a2/C."""
     if C <= 1.0:
         raise ValueError("the Ruelle weight C must exceed 1")
-    report = _dispatch(model, C, grid)
-    if scan_best_C:
-        best = None
-        for c in np.geomspace(1.01, 10.0, 120):
-            r = _dispatch(model, float(c), grid)
-            if best is None or r.sum_a < best["a1_plus_a2_over_C"]:
-                best = {"C": float(c), "a1_plus_a2_over_C": r.sum_a}
-        report.best_C = best
-    return report
-
-
-def _dispatch(model: RateModel, C: float, grid: Grid) -> ConditionReport:
     if isinstance(model, GlauberModel):
-        return _glauber_report(model, C, grid)
-    if isinstance(model, BDLPModel):
-        return _bdlp_report(model, C, grid)
-    raise TypeError(f"no condition arithmetic for model type {type(model).__name__}")
+        conditions = _GlauberConditions(model, grid)
+    elif isinstance(model, BDLPModel):
+        conditions = _BDLPConditions(model, grid)
+    else:
+        raise TypeError(f"no condition arithmetic for model type {type(model).__name__}")
+    return conditions.report(C, _best_C(conditions.constants))
 
 
 def verify_kernel_bounds(model: RateModel, C: float, grid: Grid,

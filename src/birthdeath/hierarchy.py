@@ -73,6 +73,18 @@ class HierarchyConfig:
             raise ValueError("eps must lie in [0, 1]")
 
 
+def _weighted_sup(C: float, k0: Optional[float], k1: np.ndarray,
+                  k2: Optional[np.ndarray] = None) -> float:
+    """The truncated weighted sup norm max(|k0|, sup |k1| / C, sup |k2| / C^2)
+    of the orders present (None: absent), by Python max() in that order."""
+    norm = float(np.max(np.abs(k1), initial=0.0)) / C
+    if k0 is not None:
+        norm = max(abs(k0), norm)
+    if k2 is not None:
+        norm = max(norm, float(np.max(np.abs(k2), initial=0.0)) / C ** 2)
+    return norm
+
+
 @dataclass(frozen=True)
 class CorrelationVector:
     """Truncated correlation vector on a grid with a Ruelle weight C.
@@ -118,13 +130,8 @@ class CorrelationVector:
         return self.k2
 
     def ruelle_norm(self) -> float:
-        """Truncated weighted sup norm max_n sup |k^(n)| / C^n over
-        represented orders."""
-        norm = abs(self.k0)
-        norm = max(norm, float(np.max(np.abs(self.k1), initial=0.0)) / self.C)
-        if self.k2 is not None:
-            norm = max(norm, float(np.max(np.abs(self.k2), initial=0.0)) / self.C ** 2)
-        return norm
+        """Truncated weighted sup norm max_n sup |k^(n)| / C^n."""
+        return _weighted_sup(self.C, self.k0, self.k1, self.k2)
 
     @classmethod
     def zero(cls, grid: Grid, C: float, order: int = 2,
@@ -166,12 +173,9 @@ class CorrelationVector:
         return replace(self, k1=k1, k2=k2)
 
     def diff_norm(self, other: "CorrelationVector") -> float:
-        d1 = float(np.max(np.abs(self.k1 - other.k1), initial=0.0)) / self.C
-        d0 = abs(self.k0 - other.k0)
-        out = max(d0, d1)
-        if self.k2 is not None and other.k2 is not None:
-            out = max(out, float(np.max(np.abs(self.k2 - other.k2), initial=0.0)) / self.C ** 2)
-        return out
+        both = self.k2 is not None and other.k2 is not None
+        return _weighted_sup(self.C, self.k0 - other.k0, self.k1 - other.k1,
+                             self.k2 - other.k2 if both else None)
 
 
 @dataclass(frozen=True)
@@ -481,7 +485,7 @@ def stationary_solve(model: RateModel, grid: Grid, C: float,
     """
     if cfg is None:
         cfg = HierarchyConfig(eps=1.0)
-    report = check_conditions(model, C, grid, scan_best_C=False)
+    report = check_conditions(model, C, grid)
     q = report.contraction_q
     if not report.bound_2 or q >= 1.0:
         raise ConditionError(
@@ -494,7 +498,7 @@ def stationary_solve(model: RateModel, grid: Grid, C: float,
 
     # the defect source E lives on singletons only: b(x, {}) / d(x, {})
     e1 = tables.B1 / tables.D1
-    e_norm = float(np.max(np.abs(e1), initial=0.0)) / C
+    e_norm = _weighted_sup(C, None, e1)
 
     threshold = tol * (1.0 - q) / q if q > 0 else tol
     lay = _layout(tables, grid, homogeneous)
@@ -511,10 +515,8 @@ def stationary_solve(model: RateModel, grid: Grid, C: float,
         raise ConditionError(f"stationary iteration did not converge in {max_iter} steps")
 
     resid_vec = _ks_tables(lay, k, cfg, model.name)
-    residual = max(
-        float(np.max(np.abs(resid_vec.k1 + e1 - k.k1), initial=0.0)) / C,
-        float(np.max(np.abs(resid_vec.k2 - k.k2), initial=0.0)) / C ** 2
-        if k.k2 is not None else 0.0)
+    residual = _weighted_sup(C, None, resid_vec.k1 + e1 - k.k1,
+                             None if k.k2 is None else resid_vec.k2 - k.k2)
     certificate = q ** iterations * e_norm / (1.0 - q) if q > 0 else 0.0
 
     k_inv = replace(k, k0=1.0)
@@ -614,7 +616,7 @@ def evolve(model: RateModel, k0: CorrelationVector, T: float,
         raise StabilityError(f"dt = {dt} exceeds the stability guard {bound}")
 
     if check:
-        report = check_conditions(model, max(k0.C, 1.0 + 1e-9), grid, scan_best_C=False)
+        report = check_conditions(model, max(k0.C, 1.0 + 1e-9), grid)
         if not report.bound_3_2:
             warnings.warn(
                 f"conditions do not certify the evolution: a1 + a2/C = {report.sum_a:.4f} >= 3/2",

@@ -288,8 +288,9 @@ def run_ensemble(model: RateModel, initial, T: float, replicas: int, seed: int,
     Density is estimated by binned point counts per grid cell; the pair
     function by a periodic-distance histogram over ordered pairs,
     normalized by the expected pair count of a unit-intensity Poisson
-    field (so a Poisson(z) state gives k1 ~ z and k2 ~ z^2).  Snapshots
-    before `burn_in` contribute to population statistics only.
+    field (so a Poisson(z) state gives k1 ~ z and k2 ~ z^2).  Snapshot
+    times (default: T) must lie in [0, T]; snapshots before `burn_in`
+    contribute to population statistics only.
 
     Rates are evaluated at the scaling parameter `eps` in [0, 1];
     `scaled` (which needs eps > 0) also multiplies the birth rates by 1/eps.
@@ -301,8 +302,9 @@ def run_ensemble(model: RateModel, initial, T: float, replicas: int, seed: int,
         snapshot_times = [T]
     snap_times = np.sort(np.asarray(list(snapshot_times), dtype=float))
     # NaN sorts last and would never be reached: the chain would not stop
-    if len(snap_times) == 0 or not (snap_times[0] >= 0 and np.isfinite(snap_times[-1])):
-        raise ValueError("snapshot times must be finite, nonnegative and nonempty")
+    if len(snap_times) == 0 or not (snap_times[0] >= 0 and np.isfinite(snap_times[-1])
+                                    and snap_times[-1] <= T + 1e-12):
+        raise ValueError(f"snapshot times must be finite, nonempty and in [0, T = {T}]")
 
     torus = model.torus
     width = torus.length / (2.0 * estimator_grid.m)

@@ -20,7 +20,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import BlowUpError
-from .hierarchy import CorrelationVector, HierarchyConfig, _exp_series, _TimeSteps, evolve
+from .hierarchy import (CorrelationVector, HierarchyConfig, _exp_series, _TimeSteps, evolve,
+                        _weighted_sup)
 from .models import RateModel
 from .space import Grid
 
@@ -39,13 +40,6 @@ class VlasovField:
     def __post_init__(self):
         object.__setattr__(self, "rho",
                            np.asarray(self.rho, dtype=float).reshape(self.grid.node_count))
-
-    @property
-    def sup(self) -> float:
-        return float(np.max(self.rho))
-
-    def mean(self) -> float:
-        return float(np.mean(self.rho))
 
 
 def vlasov_rhs(model: RateModel, grid: Grid, rho: np.ndarray) -> np.ndarray:
@@ -154,15 +148,10 @@ class ScalingTable:
 
 def coherent_distance(k: CorrelationVector, rho: np.ndarray) -> float:
     """Weighted sup distance between k and the Poisson-factorized vector of rho."""
-    d1 = float(np.max(np.abs(k.k1 - rho), initial=0.0)) / k.C
-    if k.k2 is None:
-        return d1
-    if k.homogeneous:
-        target = np.full_like(k.k2, float(rho[0]) ** 2)
-    else:
-        target = np.outer(rho, rho)
-    d2 = float(np.max(np.abs(k.k2 - target), initial=0.0)) / k.C ** 2
-    return max(d1, d2)
+    k2 = k.k2
+    if k2 is not None:   # a homogeneous k2 is the profile, rho[0]^2 for a coherent vector
+        k2 = k2 - (np.full_like(k2, float(rho[0]) ** 2) if k.homogeneous else np.outer(rho, rho))
+    return _weighted_sup(k.C, None, k.k1 - rho, k2)
 
 
 def scaling_compare(model: RateModel, grid: Grid, eps_list: Sequence[float],

@@ -120,7 +120,7 @@ def test_criterion_3_conditions_arithmetic():
         kplus = C * kminus / 8.0        # 4 kplus a+ = (C/2) kminus a-
         model = BDLPModel(TORUS, m=m, kappa_minus=kminus, kappa_plus=kplus,
                           a_minus=a, a_plus=a)
-        rep = check_conditions(model, C, grid, scan_best_C=False)
+        rep = check_conditions(model, C, grid)
         delta = rep.details["delta"]
         assert delta == pytest.approx(4.0, rel=1e-12)
         assert rep.sum_a == pytest.approx(1.0 + 1.0 / (4.0 + delta) + 0.25, rel=1e-12)
@@ -142,7 +142,7 @@ def test_criterion_4_ks_contraction_and_stationary_states():
         model_probe = detailed_balance_bdlp(TORUS, m=1.0, kappa_minus=0.15, z=z,
                                             kernel=kern_probe)
         C = 2.5
-        rep = check_conditions(model_probe, C, grid_probe, scan_best_C=False)
+        rep = check_conditions(model_probe, C, grid_probe)
         q = rep.contraction_q
         assert q < 1.0
         rng = np.random.default_rng(404)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 import birthdeath
 from birthdeath import cli
 from birthdeath.cli import load_config, main
+from birthdeath.conditions import check_conditions
 from birthdeath.errors import ConfigError
 
 
@@ -105,9 +107,12 @@ class TestCheck:
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"), "check"]) == 2
 
-    def test_failed_verification_is_named(self, tmp_path, capsys):
-        # at M = 256 the measured a1 exceeds the declared one on a sample
-        cfg = glauber_config(tmp_path / "out", M=256)
+    def test_failed_verification_is_named(self, tmp_path, capsys, monkeypatch):
+        # an understated a1 is exceeded on every sample
+        def understated(model, C, grid):
+            return dataclasses.replace(check_conditions(model, C, grid), a1=0.5)
+        monkeypatch.setattr(cli, "check_conditions", understated)
+        cfg = glauber_config(tmp_path / "out")
         cfg["run"] = {"verify_samples": 20}
         assert main(["--config", write_config(tmp_path / "c.json", cfg), "check"]) == 1
         verified = json.loads((tmp_path / "out" / "report.json").read_text())["verified"]
@@ -115,6 +120,17 @@ class TestCheck:
         line, = capsys.readouterr().out.splitlines()
         assert line.startswith("conditions FAIL: ")
         assert line.endswith(f"; verification failed: {verified['reason']}")
+
+    def test_verification_on_grid_nodes_holds(self, tmp_path, capsys):
+        # evolve-dense's model: at M = 256 an off-grid sample measured a1 above
+        # the declared grid sum; on grid nodes the two agree
+        cfg = glauber_config(tmp_path / "out", M=256)
+        cfg["run"] = {"verify_samples": 20}
+        assert main(["--config", write_config(tmp_path / "c.json", cfg), "check"]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["verified"]["holds"] is True
+        assert report["verified"]["a1_hat"] == pytest.approx(report["a1"], rel=1e-12)
+        assert capsys.readouterr().out.startswith("conditions hold: ")
 
 
 class TestSimulate:
@@ -167,6 +183,16 @@ class TestSimulate:
             assert main(["--config", path, "simulate"]) == 2
             assert "eps" in capsys.readouterr().err
             assert not (tmp_path / f"out{i}").exists()
+
+    def test_burn_in_past_horizon_is_config_error(self, tmp_path, capsys):
+        # unchecked, the chains ran to t = burn_in and every estimate was zero
+        cfg = glauber_config(tmp_path / "out", M=16)
+        cfg["run"] = {"T": 1.0, "burn_in": 3.0, "snapshots": 3, "replicas": 1,
+                      "initial": {"type": "poisson", "intensity": 5.0}}
+        assert main(["--config", write_config(tmp_path / "c.json", cfg), "simulate"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: run.burn_in = 3.0")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_initial_is_config_error(self, tmp_path):
         cfg = db_config(tmp_path / "out", M=16)

@@ -1,13 +1,14 @@
+import dataclasses
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from birthdeath import (BDLPModel, BoxKernel, GlauberModel, beta_tau,
+from birthdeath import (BDLPModel, BoxKernel, ConditionReport, GlauberModel, beta_tau,
                         check_conditions, detailed_balance_bdlp, normalize_on_grid,
-                        verify_kernel_bounds)
-from birthdeath.errors import KernelBoundError
+                        stationary_solve, verify_kernel_bounds)
+from birthdeath.errors import ConditionError, KernelBoundError
+from birthdeath.kernels import RadialKernel
 from birthdeath.space import Grid, GridFunction, Torus
 
 from conftest import random_configuration
@@ -39,7 +40,7 @@ class TestBetaTau:
 class TestGlauberConditions:
     def test_zero_interaction_zero_activity(self, torus1, grid64):
         model = GlauberModel(torus1, s=0.3, z=0.0, phi=BoxKernel(0.0, 0.1))
-        rep = check_conditions(model, 1.2, grid64, scan_best_C=False)
+        rep = check_conditions(model, 1.2, grid64)
         assert rep.a1 == 1.0 and rep.a2 == 0.0
         assert rep.bound_3_2 and rep.bound_2 and rep.nu_window
 
@@ -51,7 +52,7 @@ class TestGlauberConditions:
         b_m1 = beta_tau(phi, -1.0, grid64)
         z = 0.4 * C / math.exp(C * b_m1)
         model = GlauberModel(torus1, s=0.0, z=z, phi=phi)
-        rep = check_conditions(model, C, grid64, scan_best_C=False)
+        rep = check_conditions(model, C, grid64)
         assert rep.a1 == 1.0
         assert rep.sum_a == pytest.approx(1.4, rel=1e-12)
         assert rep.bound_3_2
@@ -61,7 +62,7 @@ class TestGlauberConditions:
         # large phi_bar: the base inequality holds but the nu-strengthened
         # variant fails, so the alpha window is empty
         model = GlauberModel(torus1, s=1.0, z=0.2, phi=BoxKernel(2.0, 0.005))
-        rep = check_conditions(model, 1.1, grid64, scan_best_C=False)
+        rep = check_conditions(model, 1.1, grid64)
         assert rep.bound_3_2
         assert rep.inequalities["sn0smallz"]["holds"]
         assert not rep.inequalities["stronger_sn0smallz"]["holds"]
@@ -70,7 +71,7 @@ class TestGlauberConditions:
 
     def test_window_arithmetic(self, torus1, grid64):
         model = GlauberModel(torus1, s=0.4, z=0.1, phi=BoxKernel(0.3, 0.08))
-        rep = check_conditions(model, 1.3, grid64, scan_best_C=False)
+        rep = check_conditions(model, 1.3, grid64)
         assert rep.nu == math.exp(0.4 * 0.3)
         assert rep.nu_window
         lo, hi = rep.alpha_window
@@ -85,23 +86,13 @@ class TestGlauberConditions:
             model = GlauberModel(torus1, s=float(rng.uniform(0, 1)), z=z,
                                  phi=BoxKernel(height, 0.1))
             C = float(rng.uniform(1.05, 4.0))
-            rep = check_conditions(model, C, grid64, scan_best_C=False)
+            rep = check_conditions(model, C, grid64)
             assert rep.bound_2 == (rep.sum_a < 2.0)
             if rep.bound_3_2:
                 assert rep.bound_2
                 assert rep.contraction_q < 0.5
             if rep.bound_2:
                 assert rep.contraction_q < 1.0
-
-    def test_inconsistent_report_raises(self, torus1, grid64):
-        # the consistency checks must hold under python -O as well
-        rep = check_conditions(GlauberModel(torus1, s=0.5, z=0.1, phi=BoxKernel(0.4, 0.1)),
-                               2.0, grid64, scan_best_C=False)
-        assert rep.bound_3_2 and rep.nu_window
-        with pytest.raises(ValueError, match="bound_3_2"):
-            replace(rep, bound_2=False)
-        with pytest.raises(ValueError, match="alpha_window"):
-            replace(rep, alpha_window=None)
 
 
 class TestBDLPConditions:
@@ -114,7 +105,7 @@ class TestBDLPConditions:
         kplus = C * kminus / 8.0
         model = BDLPModel(torus1, m=m, kappa_minus=kminus, kappa_plus=kplus,
                           a_minus=a, a_plus=a)
-        rep = check_conditions(model, C, grid64, scan_best_C=False)
+        rep = check_conditions(model, C, grid64)
         assert rep.details["delta"] == pytest.approx(4.0, rel=1e-12)
         assert rep.a1 == pytest.approx(1.0 + 1.0 / 8.0, rel=1e-12)
         assert rep.a2 == pytest.approx(C / 4.0, rel=1e-12)
@@ -126,7 +117,7 @@ class TestBDLPConditions:
         a = normalize_on_grid(BoxKernel(1.0, 0.1), grid64)
         model = BDLPModel(torus1, m=0.7, kappa_minus=0.0, kappa_plus=0.0,
                           a_minus=a, a_plus=a)
-        rep = check_conditions(model, 1.5, grid64, scan_best_C=False)
+        rep = check_conditions(model, 1.5, grid64)
         assert rep.a1 == 1.0
         assert math.isinf(rep.details["delta"])
         assert rep.bound_3_2
@@ -140,7 +131,7 @@ class TestBDLPConditions:
         kappa = 0.1 * C * m / 4.0          # well below the kminus branch
         model = BDLPModel(torus1, m=m, kappa_minus=kminus, kappa_plus=0.0,
                           a_minus=a, a_plus=a, kappa=kappa)
-        rep = check_conditions(model, C, grid64, scan_best_C=False)
+        rep = check_conditions(model, C, grid64)
         assert rep.details["delta"] == pytest.approx(1.0 / 0.45 - 2.0, rel=1e-12)
         assert rep.a1 == pytest.approx(1.0 + 0.45 / (0.45 * 2 + 1.0 - 2 * 0.45), abs=1e-9)
         assert rep.a2 == pytest.approx(C / 2.0)
@@ -152,7 +143,7 @@ class TestBDLPConditions:
         a_plus = normalize_on_grid(BoxKernel(1.0, 0.3), grid64)
         model = BDLPModel(torus1, m=1.0, kappa_minus=0.02, kappa_plus=0.02,
                           a_minus=a_minus, a_plus=a_plus)
-        rep = check_conditions(model, 1.5, grid64, scan_best_C=False)
+        rep = check_conditions(model, 1.5, grid64)
         item = rep.inequalities["smallparBDLP-2"]
         assert not item["holds"]
         assert item["worst_margin"] > 0
@@ -162,9 +153,65 @@ class TestBDLPConditions:
         a = normalize_on_grid(BoxKernel(1.0, 0.1), grid64)
         model = BDLPModel(torus1, m=1.0, kappa_minus=0.02, kappa_plus=0.01,
                           a_minus=a, a_plus=a)
-        rep = check_conditions(model, 1.5, grid64, scan_best_C=True)
+        rep = check_conditions(model, 1.5, grid64)
         assert rep.best_C is not None
         assert rep.best_C["a1_plus_a2_over_C"] <= rep.sum_a + 1e-12
+
+
+class TestOnePass:
+    """Each check computes the C-independent quantities of its model once;
+    the report at C and the scan for best_C share one constants(C)."""
+
+    @staticmethod
+    def models(torus, grid):
+        a = normalize_on_grid(BoxKernel(1.0, 0.1), grid)
+        return {"glauber": GlauberModel(torus, s=0.5, z=0.3, phi=BoxKernel(0.4, 0.1)),
+                "bdlp_modified": BDLPModel(torus, m=1.0, kappa_minus=0.15, kappa_plus=0.075,
+                                           a_minus=a, a_plus=a, kappa=0.5)}
+
+    @pytest.mark.parametrize("name", ["glauber", "bdlp_modified"])
+    def test_profiles_computed_at_most_three_times(self, monkeypatch, name):
+        torus = Torus(2, 1.0)
+        grid = Grid(torus, 128)
+        model = self.models(torus, grid)[name]
+        calls = []
+        profile = RadialKernel.profile
+
+        def counted(kernel, grid):
+            calls.append(kernel)
+            return profile(kernel, grid)
+
+        monkeypatch.setattr(RadialKernel, "profile", counted)
+        check_conditions(model, 2.5, grid)
+        assert 1 <= len(calls) <= 3
+
+    @pytest.mark.parametrize("name", ["glauber", "bdlp_modified"])
+    def test_best_C_is_the_minimum_over_the_scanned_reports(self, torus1, grid64, name):
+        model = self.models(torus1, grid64)[name]
+        scan = np.geomspace(1.01, 10, 120)
+        sums = [check_conditions(model, float(c), grid64).sum_a for c in scan]
+        first = int(np.argmin(sums))
+        assert check_conditions(model, 1.5, grid64).best_C == {
+            "C": float(scan[first]), "a1_plus_a2_over_C": sums[first]}
+
+    def test_report_stores_its_inputs_and_derives_the_rest(self, torus1, grid64):
+        rep = check_conditions(self.models(torus1, grid64)["glauber"], 1.5, grid64)
+        assert [f.name for f in dataclasses.fields(ConditionReport)] == [
+            "model", "C", "a1", "a2", "nu", "inequalities", "details", "best_C"]
+        assert list(rep.as_dict()) == [
+            "model", "C", "a1", "a2", "a1_plus_a2_over_C", "bound_3_2", "bound_2", "nu",
+            "nu_window", "alpha_window", "contraction_q", "inequalities", "details", "best_C"]
+        assert rep.sum_a == rep.a1 + rep.a2 / rep.C
+        assert rep.contraction_q == rep.sum_a - 1.0
+
+    def test_overflow_at_a_scanned_C_ranks_it_last(self, torus1, grid64):
+        # exp(C beta_s) with beta_s ~ 82 overflows from C ~ 8.7 on, not at C = 1.5
+        model = GlauberModel(torus1, s=1.0, z=0.1, phi=BoxKernel(6.0, 0.1))
+        rep = check_conditions(model, 1.5, grid64)
+        assert not rep.bound_2
+        assert rep.best_C["C"] < 8.0 and math.isfinite(rep.best_C["a1_plus_a2_over_C"])
+        with pytest.raises(ConditionError, match="contraction factor"):
+            stationary_solve(model, grid64, 1.5)
 
 
 class TestVerifyKernelBounds:
@@ -172,7 +219,7 @@ class TestVerifyKernelBounds:
         phi = BoxKernel(0.4, 0.1)
         model = GlauberModel(torus1, s=0.5, z=0.3, phi=phi)
         C = 1.2
-        rep = check_conditions(model, C, grid64, scan_best_C=False)
+        rep = check_conditions(model, C, grid64)
         samples = [random_configuration(rng, torus1, n) for n in (1, 2, 3, 4)]
         a1_hat, a2_hat = verify_kernel_bounds(model, C, grid64, samples,
                                               declared=(rep.a1, rep.a2))
@@ -186,7 +233,7 @@ class TestVerifyKernelBounds:
         m, C = 1.0, 2.0
         model = BDLPModel(torus1, m=m, kappa_minus=m / (8 * C), kappa_plus=m / (64),
                           a_minus=a, a_plus=a)
-        rep = check_conditions(model, C, grid64, scan_best_C=False)
+        rep = check_conditions(model, C, grid64)
         singleton = [random_configuration(np.random.default_rng(0), torus1, 1)]
         a1_hat, _ = verify_kernel_bounds(model, C, grid64, singleton,
                                          declared=(rep.a1, rep.a2))
@@ -211,7 +258,7 @@ class TestVerifyKernelBounds:
         a = normalize_on_grid(BoxKernel(1.0, 0.1), grid64)
         model = detailed_balance_bdlp(torus1, m=1.0, kappa_minus=0.15, z=0.5, kernel=a)
         C = 2.5
-        rep = check_conditions(model, C, grid64, scan_best_C=False)
+        rep = check_conditions(model, C, grid64)
         samples = [random_configuration(rng, torus1, n) for n in (1, 2, 3, 4)]
         a1_hat, a2_hat = verify_kernel_bounds(model, C, grid64, samples,
                                               declared=(rep.a1, rep.a2))

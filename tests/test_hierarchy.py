@@ -406,7 +406,7 @@ class TestKSOperator:
     def test_contraction_bound(self, db_model, torus1, rng):
         grid = Grid(torus1, 16)
         C = 2.5
-        rep = check_conditions(db_model, C, grid, scan_best_C=False)
+        rep = check_conditions(db_model, C, grid)
         assert rep.bound_2
         worst = 0.0
         for _ in range(40):

@@ -210,7 +210,7 @@ class TestEnsemble:
         model = GlauberModel(torus10, s=0.0, z=z, phi=BoxKernel(0.4, 0.5))
         grid = Grid(torus10, 40)
         C = 1.2
-        assert check_conditions(model, C, grid, scan_best_C=False).bound_3_2
+        assert check_conditions(model, C, grid).bound_3_2
         k1_ks = stationary_solve(model, grid, C, tol=1e-10).k_inv.k1[0]
         sim = run_ensemble(model, PoissonInitial(z), T=30.0, replicas=300, seed=13,
                            estimator_grid=grid, snapshot_times=[20.0, 25.0, 30.0],
@@ -248,6 +248,11 @@ class TestEnsemble:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    def test_snapshot_time_past_horizon_raises(self, db_model, grid10):
+        with pytest.raises(ValueError, match=r"in \[0, T = 1.0\]"):
+            run_ensemble(db_model, PoissonInitial(0.6), T=1.0, replicas=1, seed=0,
+                         estimator_grid=grid10, snapshot_times=[0.5, 2.0])
 
     def test_validates_replicas(self, db_model, grid10):
         with pytest.raises(ValueError):
