@@ -279,13 +279,14 @@ def _check(model, grid, run, weights, args):
             payload["verified"] = {"a1_hat": a1_hat, "a2_hat": a2_hat, "holds": True}
         except KernelBoundError as exc:
             payload["verified"] = {"holds": False, "reason": str(exc)}
-    reason = payload.get("verified", {}).get("reason")
-    holds = report.bound_3_2 and reason is None
-    unverified = f"; verification failed: {reason}" if reason else ""
-    print(f"conditions hold: a1 + a2/C = {report.sum_a:.6f} < 1.5" if holds else
-          f"conditions FAIL: a1 + a2/C = {report.sum_a:.6f}; failed: "
-          f"{report.failed_inequalities()}{unverified}")
-    return {"report.json": payload}, {"report": payload}, 0 if holds else 1
+    # every inequality counts, a1 + a2/C < 3/2 among them, and so does a
+    # failed verification
+    failed, reason = report.failed_inequalities(), payload.get("verified", {}).get("reason")
+    reasons = ([f"failed: {', '.join(failed)}"] if failed else []) + \
+        ([f"verification failed: {reason}"] if reason else [])
+    print(f"conditions FAIL: a1 + a2/C = {report.sum_a:.6f}; {'; '.join(reasons)}" if reasons
+          else f"conditions hold: a1 + a2/C = {report.sum_a:.6f} < 1.5")
+    return {"report.json": payload}, {"report": payload}, 1 if reasons else 0
 
 
 def _simulate(model, grid, run, weights, args):

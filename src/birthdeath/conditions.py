@@ -21,7 +21,7 @@ import numpy as np
 from .configurations import FiniteConfiguration, QuadratureScheme, lp_integral
 from .errors import KernelBoundError
 from .kernels import RadialKernel
-from .models import BDLPModel, GlauberModel, RateModel
+from .models import BDLPModel, GlauberModel, RateModel, constant_exp
 from .space import Grid
 
 
@@ -113,7 +113,9 @@ class _GlauberConditions:
     def constants(self, C: float):
         """(a1, a2, nu) at Ruelle weight C."""
         m = self.model
-        return math.exp(C * self.b_s), m.z * math.exp(C * self.b_s1), m.growth_constants(C)[2]
+        return (constant_exp("a1 = exp(C beta_s)", C * self.b_s, C),
+                m.z * constant_exp("a2 = z exp(C beta_{s-1})", C * self.b_s1, C),
+                m.growth_constants(C)[2])
 
     def report(self, C: float, best_C: dict) -> ConditionReport:
         m = self.model

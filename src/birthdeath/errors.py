@@ -22,6 +22,10 @@ class TruncationError(BirthDeathError):
     closure rule was enabled."""
 
 
+class ConstantOverflowError(BirthDeathError, OverflowError):
+    """A condition constant exp(x) lies beyond the float range."""
+
+
 class KernelBoundError(BirthDeathError):
     """Numerically measured kernel integrals exceed the declared constants."""
 

@@ -76,13 +76,13 @@ class HierarchyConfig:
 def _weighted_sup(C: float, k0: Optional[float], k1: np.ndarray,
                   k2: Optional[np.ndarray] = None) -> float:
     """The truncated weighted sup norm max(|k0|, sup |k1| / C, sup |k2| / C^2)
-    of the orders present (None: absent), by Python max() in that order."""
-    norm = float(np.max(np.abs(k1), initial=0.0)) / C
+    of the orders present (None: absent); NaN when any order holds a NaN."""
+    terms = [float(np.max(np.abs(k1), initial=0.0)) / C]
     if k0 is not None:
-        norm = max(abs(k0), norm)
+        terms.append(abs(k0))
     if k2 is not None:
-        norm = max(norm, float(np.max(np.abs(k2), initial=0.0)) / C ** 2)
-    return norm
+        terms.append(float(np.max(np.abs(k2), initial=0.0)) / C ** 2)
+    return math.nan if any(map(math.isnan, terms)) else max(terms)
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,9 @@ class CorrelationVector:
             raise ValueError("Ruelle weight C must be positive")
         n = self.grid.node_count
         object.__setattr__(self, "k1", np.asarray(self.k1, dtype=float).reshape(n))
-        if self.homogeneous and not np.all(self.k1 == self.k1[0]):
+        # an all-NaN density counts as constant, so the norm guards see it
+        if self.homogeneous and not np.all(self.k1 == self.k1[0]) \
+                and not np.all(np.isnan(self.k1)):
             raise ValueError("a homogeneous correlation vector needs a constant density k1")
         if self.k2 is not None:
             k2 = np.asarray(self.k2, dtype=float)
@@ -508,6 +510,9 @@ def stationary_solve(model: RateModel, grid: Grid, C: float,
         nxt = _ks_tables(lay, k, cfg, model.name)
         nxt = replace(nxt, k1=nxt.k1 + e1)
         inc = nxt.diff_norm(k)
+        if not math.isfinite(inc):
+            raise ConditionError(f"stationary iteration {iterations} has a non-finite "
+                                 f"increment norm {inc}")
         k = nxt
         if inc <= threshold:
             break
@@ -634,8 +639,8 @@ def evolve(model: RateModel, k0: CorrelationVector, T: float,
         norm = k.ruelle_norm()
         if not np.isfinite(norm) or norm > norm_guard * norm0:
             raise BlowUpError(
-                f"hierarchy norm {norm:.3e} exceeded {norm_guard} x initial at t = {t:.4f}; "
-                "check the sufficient conditions or reduce dt")
+                f"hierarchy norm {norm:.3e} is not finite or exceeds {norm_guard} x initial "
+                f"at t = {t:.4f}; check the sufficient conditions or reduce dt")
         return k
 
     times, snaps, served = steps.run(k0, step)

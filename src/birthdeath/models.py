@@ -28,9 +28,22 @@ from typing import Optional
 import numpy as np
 
 from .configurations import CoherentState, FiniteConfiguration, SetFunction
-from .errors import ModelValidationError
+from .errors import ConstantOverflowError, ModelValidationError
 from .kernels import RadialKernel, validate_kernel_fits
 from .space import Grid, Torus, circular_convolve, row_blocks
+
+
+def constant_exp(name: str, exponent: float, C: float) -> float:
+    """math.exp(exponent), the condition constant `name` at Ruelle weight C;
+    a ConstantOverflowError that names both where it is not finite."""
+    try:
+        value = math.exp(exponent)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise ConstantOverflowError(
+            f"{name} overflows at C = {C:g}: exp({exponent:.6g}) exceeds the float range")
+    return value
 
 
 def _as_points(obj, dim: int) -> np.ndarray:
@@ -272,7 +285,8 @@ class GlauberModel(RateModel):
         return CoherentState(f, prefactor=abs(base))
 
     def growth_constants(self, C: float):
-        nu = 1.0 if self.s == 0.0 else math.exp(self.s * self.phi_bar)
+        nu = 1.0 if self.s == 0.0 else constant_exp("nu = exp(s phi_bar)",
+                                                    self.s * self.phi_bar, C)
         return (1.0, 0, nu)
 
     def hierarchy_tables(self, grid: Grid, eps: float = 1.0) -> KernelTables:

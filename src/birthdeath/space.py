@@ -61,9 +61,28 @@ class Torus:
         return d - self.length * np.round(d / self.length)
 
     def distance(self, a, b) -> np.ndarray:
-        """Periodic distance between point arrays; broadcasts over leading axes."""
-        d = self.minimage(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-        return np.sqrt(np.sum(d * d, axis=-1))
+        """Periodic distance between point arrays; broadcasts over leading axes.
+
+        Works one coordinate axis at a time: each axis's displacement is
+        reduced to its minimum image in place (`minimage`'s arithmetic), and
+        the result is sqrt(d0*d0 + d1*d1), or sqrt(d0*d0) for d = 1.  That is
+        bit for bit the sum over the coordinate axis, without the cost of a
+        reduction over an axis of length 1 or 2.  For d = 1 it is not abs(d0),
+        which differs where d0*d0 underflows to a subnormal or to zero.
+        """
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        squares = None
+        for k in range(self.dim):
+            d = a[..., k] - b[..., k]
+            image = np.rint(d / self.length)   # np.round with 0 decimals
+            image *= self.length
+            d -= image
+            d *= d
+            if squares is None:
+                squares = d
+            else:
+                squares += d
+        return np.sqrt(squares)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,37 @@ class TestCheck:
         assert report["bound_3_2"] is False
         assert report["inequalities"]["s0smallz"]["holds"] is False
 
+    def test_failed_pointwise_inequality_fails_the_check(self, tmp_path, capsys):
+        # a1 + a2/C < 3/2 holds, but 4 kplus a+ <= C kminus a- fails where a+
+        # reaches beyond a-
+        cfg = {"model": {"name": "bdlp", "m": 1.0, "kappa_minus": 0.02, "kappa_plus": 0.02,
+                         "a_minus": {"shape": "box", "radius": 0.05},
+                         "a_plus": {"shape": "box", "radius": 0.3}},
+               "space": {"d": 1, "L": 1.0, "M": 64}, "output": {"directory": str(tmp_path / "out")}}
+        assert main(["--config", write_config(tmp_path / "c.json", cfg), "check"]) == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["bound_3_2"] is True
+        assert report["inequalities"]["smallparBDLP-2"]["holds"] is False
+        line, = capsys.readouterr().out.splitlines()
+        assert line.startswith("conditions FAIL: ")
+        assert line.endswith("; failed: smallparBDLP-2")
+
+    def test_overflowing_constant_is_one_line(self, tmp_path):
+        # exp(C beta_s) with beta_s ~ 0.2 e^20 lies far beyond the float range
+        cfg = glauber_config(tmp_path / "out", s=1.0)
+        cfg["model"]["phi"]["height"] = 20.0
+        cfg["space"]["M"] = 64
+        src = str(Path(birthdeath.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "birthdeath.cli", "--config",
+                               write_config(tmp_path / "c.json", cfg), "check"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr + done.stdout
+        line, = done.stderr.splitlines()
+        assert line.startswith("aborted: a1 = exp(C beta_s) overflows at C = 1.5"), line
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_config(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -64,6 +64,38 @@ class TestVectorBasics:
         k = CorrelationVector(grid16, 2.0, 1.0, np.full(n, 3.0), np.full((n, n), 6.0))
         assert k.ruelle_norm() == pytest.approx(max(1.0, 3.0 / 2.0, 6.0 / 4.0))
 
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_norms_of_finite_vectors(self, homogeneous):
+        grid = Grid(Torus(1, 1.0), 8)
+        n, C = grid.node_count, 2.0
+        k2 = np.full(n, -6.0) if homogeneous else np.full((n, n), -6.0)
+        k = CorrelationVector(grid, C, 1.0, np.full(n, 3.0), k2, homogeneous=homogeneous)
+        zero = CorrelationVector.zero(grid, C, homogeneous=homogeneous)
+        assert k.ruelle_norm() == max(1.0, 3.0 / C, 6.0 / C ** 2)
+        assert k.diff_norm(zero) == k.ruelle_norm()
+        assert zero.diff_norm(zero) == 0.0
+        order1 = CorrelationVector(grid, C, -0.5, np.full(n, 0.4))
+        assert order1.ruelle_norm() == 0.5
+        assert order1.diff_norm(zero) == 0.5
+
+    @pytest.mark.parametrize("order", ["k0", "k1", "k2", "all"])
+    def test_a_nan_in_any_order_makes_the_norm_nan(self, order):
+        # Python's max(0.0, nan) is 0.0: a NaN iterate must not read as norm 0
+        grid = Grid(Torus(1, 1.0), 8)
+        n = grid.node_count
+        zero = CorrelationVector.zero(grid, 1.5)
+        k0 = math.nan if order in ("k0", "all") else 0.0
+        k1 = np.zeros(n)
+        k2 = np.zeros((n, n))
+        if order in ("k1", "all"):
+            k1[3] = math.nan
+        if order in ("k2", "all"):
+            k2[2, 5] = k2[5, 2] = math.nan
+        k = CorrelationVector(grid, 1.5, k0, k1, k2)
+        assert math.isnan(k.ruelle_norm())
+        assert math.isnan(k.diff_norm(zero))
+        assert math.isnan(zero.diff_norm(k))
+
     def test_homogeneous_materialization(self, grid16, rng):
         k = random_vector(rng, grid16, 1.5, homogeneous=True)
         full = k.k2_full()
@@ -448,6 +480,13 @@ class TestStationarySolve:
         with pytest.raises(ConditionError, match="requires a1"):
             stationary_solve(model, grid16, 1.5)
 
+    def test_non_finite_increment_raises(self, db_model, grid16, monkeypatch):
+        def nan_iterate(lay, k, cfg, name):
+            return replace(k, k2=np.full_like(k.k2, math.nan))
+        monkeypatch.setattr(hierarchy, "_ks_tables", nan_iterate)
+        with pytest.raises(ConditionError, match="non-finite increment norm nan"):
+            stationary_solve(db_model, grid16, 2.5, tol=1e-12)
+
     def test_fixed_point_residual_definition(self, db_model, grid16):
         res = stationary_solve(db_model, grid16, 2.5, tol=1e-11)
         tail = CorrelationVector(grid16, 2.5, 0.0, res.k_inv.k1, res.k_inv.k2,
@@ -509,6 +548,14 @@ class TestEvolve:
         assert bound == 1.0 / (2.0 * max(float(np.max(tables.D1)), float(np.max(d2 + d2.T))))
         with pytest.raises(StabilityError):
             evolve(db_model, k0, T=1.0, dt=2.1 * bound, check=False)
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_nan_state_trips_the_guard(self, db_model, grid16, homogeneous):
+        # k0 = 1 used to hide a NaN pair function from the norm
+        k0 = CorrelationVector.coherent(grid16, 1.5, 0.3, homogeneous=homogeneous)
+        k0 = replace(k0, k2=np.full_like(k0.k2, math.nan))
+        with pytest.raises(BlowUpError, match="norm nan is not finite"):
+            evolve(db_model, k0, T=0.1, dt=0.05, check=False)
 
     def test_blowup_guard(self, torus1, grid16, kernel16):
         # birth far above death: the truncated system grows until the guard trips

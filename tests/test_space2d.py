@@ -30,6 +30,41 @@ class TestGeometry:
         b = np.array([0.95, 0.05])
         assert torus2.distance(a, b) == pytest.approx(math.sqrt(0.02))
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("length", [1.0, 2.5])
+    def test_distance_bitwise_equals_axis_sum(self, dim, length):
+        """`distance` equals the reduction over the coordinate axis it replaced,
+        bit for bit, in every broadcast shape its callers use."""
+        def summed(a, b):
+            d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+            d = d - length * np.round(d / length)
+            return np.sqrt(np.sum(d * d, axis=-1))
+
+        torus = Torus(dim, length)
+        # half and quarter periods (displacements of exactly +-L/2 and 0), a
+        # point at L - 1e-17, and tiny and subnormal coordinates whose
+        # displacement squares to a subnormal or to zero
+        special = [0.0, length / 2, length / 4, 3 * length / 4, length - 1e-17,
+                   1e-300, 5e-324, 1e-170, 1e-160, 2.2250738585072014e-308, 1e-154]
+        coords = np.concatenate([special, np.random.default_rng(5).uniform(0, length, 9)])
+        if dim == 1:
+            pts = coords[:, None]
+        else:
+            pts = np.stack(np.meshgrid(coords, special, indexing="ij"), axis=-1).reshape(-1, 2)
+        a, b = pts[:7], pts
+        cases = [(pts[3], pts), (a[:, None, :], b[None, :, :]), (pts, pts[5]),
+                 (pts[1], pts[0]), (pts[:0], pts[2])]
+        for x, y in cases:
+            got, want = torus.distance(x, y), summed(x, y)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64))
+            assert np.array_equal(np.asarray(torus.distance(y, x)).view(np.uint64),
+                                  np.asarray(summed(y, x)).view(np.uint64))
+        # the tiny displacements are present: sqrt(d0*d0) is 0 where |d0| is not
+        d0 = torus.minimage(pts[:, 0] - pts[0, 0])
+        assert np.any((d0 * d0 == 0) & (d0 != 0))
+
     def test_offset_index(self, grid2):
         off = grid2.offset_index
         nodes = grid2.nodes
