@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, default=None, help="seed override for simulate")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap for replica runs")
+    parser.add_argument("--threads", type=int, default=1, help="worker cap for replica runs (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
     hier = sub.add_parser("hierarchy", help="correlation-hierarchy computations")
     hsub = hier.add_subparsers(dest="subcommand", required=True)
@@ -446,6 +446,7 @@ def _validate(args, needs, defaults) -> tuple:
         raise ConfigError(f"run.initial.points: each point needs d = {space['d']} coordinates")
     if args.seed is not None:
         run["seed"] = _value(args.seed, int, _NONNEGATIVE, "--seed")
+    _value(args.threads, int, _POSITIVE, "--threads")
     if not (args.out or settings["output"]["directory"]):
         raise ConfigError("no output directory: set output.directory or pass --out")
     return cfg, settings, Path(args.out or settings["output"]["directory"])

@@ -33,7 +33,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -164,15 +164,10 @@ class CorrelationVector:
                 k2 = np.outer(rho, rho)
         return cls(grid, C, 1.0, rho, k2, homogeneous)
 
-    def _lin(self, coeffs_and_vectors) -> "CorrelationVector":
-        """self + sum of coef * vec over the represented orders (k0 kept)."""
-        k1 = self.k1.copy()
-        k2 = None if self.k2 is None else self.k2.copy()
-        for coef, vec in coeffs_and_vectors:
-            k1 += coef * vec.k1
-            if k2 is not None:
-                k2 += coef * vec.k2
-        return replace(self, k1=k1, k2=k2)
+    def _lin(self, coef: float, vec: "CorrelationVector") -> "CorrelationVector":
+        """self + coef * vec over the represented orders (k0 kept)."""
+        k2 = None if self.k2 is None else self.k2 + coef * vec.k2
+        return replace(self, k1=self.k1 + coef * vec.k1, k2=k2)
 
     def diff_norm(self, other: "CorrelationVector") -> float:
         both = self.k2 is not None and other.k2 is not None
@@ -536,13 +531,14 @@ def _check_horizon(T: float) -> None:
 
 
 class _TimeSteps:
-    """The RK4 step plan of `evolve` and `vlasov.integrate`: the fewest
-    equal steps (`count` of `dt`, none when T = 0) of at most the given dt
-    that reach T, and `served`, the step nearest to each requested time
-    (default: T).  The state at T is kept too; a kept state is labelled
-    step * dt.  A ValueError names a dt, T or snapshot time out of range."""
+    """The RK4 engine of `evolve` and `vlasov.integrate`.  It takes the fewest
+    equal steps (`count` of `dt`, none when T = 0) of at most dt to reach T;
+    `served` is the step nearest each requested time (default: T), and the
+    state at T is kept too, each labelled step * dt.  A ValueError names a
+    dt, T or snapshot time out of range; a StabilityError, a dt above `bound`."""
 
-    def __init__(self, T: float, dt: float, snapshot_times: Optional[Sequence[float]]):
+    def __init__(self, T: float, dt: float, snapshot_times: Optional[Sequence[float]],
+                 bound: float):
         if not (dt > 0 and math.isfinite(dt)):
             raise ValueError(f"dt = {dt} is not a positive finite time step")
         _check_horizon(T)
@@ -550,21 +546,32 @@ class _TimeSteps:
         for t in requested:
             if not 0 <= t <= T + 1e-12:
                 raise ValueError(f"snapshot time {t} lies outside [0, T = {T}]")
+        if dt > bound * (1.0 + 1e-12):
+            raise StabilityError(f"dt = {dt} exceeds the stability guard {bound}")
         self.count = max(1, math.ceil(T / dt - 1e-12)) if T > 0 else 0
         self.dt = T / self.count if self.count else dt
         self.served = [min(self.count, int(round(t / self.dt))) for t in requested]
 
-    def run(self, state, step: Callable) -> Tuple[List[float], list, List[int]]:
-        """Advance `state` by `step(state, dt, t)`, the state at time t one
-        step on; return the kept times and states, and `served` as indices."""
+    def run(self, state, rhs: Callable, axpy: Callable, check: Callable) -> tuple:
+        """Step `state` by RK4 of the engine's `rhs(y)`, `axpy(y, c, f)` (a new
+        y + c f) and `check(y, t)` (y at time t, checked).  Returns the kept
+        times and states, and `served` as indices."""
         kept = sorted(set(self.served) | {self.count})
         index = {s: j for j, s in enumerate(kept)}
         states = [state] if 0 in index else []
+        h = self.dt
         for i in range(1, self.count + 1):
-            state = step(state, self.dt, i * self.dt)
+            acc = stage = state
+            # a stage's weight in acc, then the next stage's node (none after f4)
+            for w, c in ((h / 6.0, 0.5 * h), (h / 3.0, 0.5 * h), (h / 3.0, h), (h / 6.0, 0.0)):
+                f = rhs(stage)
+                acc = axpy(acc, w, f)
+                stage = axpy(state, c, f) if c else None
+                del f   # released before the next stage's derivative is made
+            state = check(acc, i * h)
             if i in index:
                 states.append(state)
-        return [s * self.dt for s in kept], states, [index[s] for s in self.served]
+        return [s * h for s in kept], states, [index[s] for s in self.served]
 
 
 @dataclass(frozen=True)
@@ -616,9 +623,7 @@ def evolve(model: RateModel, k0: CorrelationVector, T: float,
     bound = _stability_guard(tables, grid, k0.order)
     if dt is None:
         dt = min(0.5 * bound, T) if T > 0 else bound
-    steps = _TimeSteps(T, dt, snapshot_times)
-    if dt > bound * (1.0 + 1e-12):
-        raise StabilityError(f"dt = {dt} exceeds the stability guard {bound}")
+    steps = _TimeSteps(T, dt, snapshot_times, bound)
 
     if check:
         report = check_conditions(model, max(k0.C, 1.0 + 1e-9), grid)
@@ -630,12 +635,7 @@ def evolve(model: RateModel, k0: CorrelationVector, T: float,
     norm0 = max(k0.ruelle_norm(), 1e-300)
     lay = _layout(tables, grid, k0.homogeneous, k0.order)
 
-    def step(k: CorrelationVector, dt: float, t: float) -> CorrelationVector:
-        f1 = _apply_tables(lay, k, cfg)
-        f2 = _apply_tables(lay, k._lin([(0.5 * dt, f1)]), cfg)
-        f3 = _apply_tables(lay, k._lin([(0.5 * dt, f2)]), cfg)
-        f4 = _apply_tables(lay, k._lin([(dt, f3)]), cfg)
-        k = k._lin([(dt / 6.0, f1), (dt / 3.0, f2), (dt / 3.0, f3), (dt / 6.0, f4)])
+    def guard(k: CorrelationVector, t: float) -> CorrelationVector:
         norm = k.ruelle_norm()
         if not np.isfinite(norm) or norm > norm_guard * norm0:
             raise BlowUpError(
@@ -643,7 +643,8 @@ def evolve(model: RateModel, k0: CorrelationVector, T: float,
                 f"at t = {t:.4f}; check the sufficient conditions or reduce dt")
         return k
 
-    times, snaps, served = steps.run(k0, step)
+    times, snaps, served = steps.run(k0, lambda k: _apply_tables(lay, k, cfg),
+                                     CorrelationVector._lin, guard)
     return EvolveResult(times, snaps, [k.ruelle_norm() for k in snaps], steps.dt, served)
 
 

@@ -31,6 +31,7 @@ ensembles with different seeds share no chain.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -294,10 +295,14 @@ def run_ensemble(model: RateModel, initial, T: float, replicas: int, seed: int,
 
     Rates are evaluated at the scaling parameter `eps` in [0, 1];
     `scaled` (which needs eps > 0) also multiplies the birth rates by 1/eps.
+    `threads` (>= 1) caps the worker processes, which number at most the
+    replicas and the CPUs too; one worker runs the replicas in this process.
     """
     birth_scale = _birth_scale(eps, scaled)
     if replicas < 1:
         raise ValueError("need at least one replica")
+    if threads < 1:
+        raise ValueError(f"threads = {threads} must be >= 1")
     if snapshot_times is None:
         snapshot_times = [T]
     snap_times = np.sort(np.asarray(list(snapshot_times), dtype=float))
@@ -313,10 +318,11 @@ def run_ensemble(model: RateModel, initial, T: float, replicas: int, seed: int,
              population_cap, estimator_grid, pair_edges, burn_in)
             for child in np.random.SeedSequence(seed).spawn(replicas)]
 
-    if threads > 1:
+    workers = min(threads, replicas, os.cpu_count() or 1)
+    if workers > 1:
         # imported here: it loads multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_replica, args))
     else:
         results = [_run_replica(a) for a in args]

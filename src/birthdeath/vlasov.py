@@ -13,6 +13,7 @@ approaches the mean-field trajectory as the scaling parameter shrinks.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -23,7 +24,7 @@ from .errors import BlowUpError
 from .hierarchy import (CorrelationVector, HierarchyConfig, _exp_series, _TimeSteps, evolve,
                         _weighted_sup)
 from .models import RateModel
-from .space import Grid
+from .space import Grid, circular_convolve
 
 __all__ = ["VlasovField", "vlasov_rhs", "vlasov_rhs_reference", "integrate",
            "scaling_compare", "VlasovResult", "ScalingTable"]
@@ -90,38 +91,39 @@ def integrate(model: RateModel, grid: Grid, rho0, T: float, dt: float,
     Steps and snapshots follow `hierarchy.evolve`: ceil(T / dt) equal
     steps, each requested time (default: T) served by its nearest step,
     the density at T always kept, times labelled step * dt, and a
-    ValueError for a dt, T or snapshot time out of range.  Negative
-    undershoots are clipped to zero (with an accumulated-mass warning
-    beyond 1e-12); densities above `blowup_sup` or a non-finite state
-    abort the run.
+    ValueError for a dt, T or snapshot time out of range.  A dt above
+    1 / (2 sup L) raises StabilityError, where L is the mean-field loss
+    rate d(S) at the initial density, S the death kernel's convolution with
+    it (the hierarchy's guard applied to the mean-field equation).
+    Negative undershoots are clipped to zero (with an accumulated-mass
+    warning beyond 1e-12); densities above `blowup_sup` or a non-finite
+    state abort the run.
     """
-    steps = _TimeSteps(T, dt, snapshot_times)
     rho = np.broadcast_to(np.asarray(rho0, dtype=float), (grid.node_count,)).astype(float)
     if np.any(rho < 0):
         raise ValueError("initial density must be nonnegative")
+    with np.errstate(over="ignore"):   # an infinite loss rate leaves no step: bound 0
+        sup_loss = float(np.max(model.death_rate_of_sum(
+            circular_convolve(grid, rho, model.death_kernel.profile(grid)))))
+    steps = _TimeSteps(T, dt, snapshot_times, 1.0 / (2.0 * sup_loss) if sup_loss > 0 else math.inf)
+    clipped = 0.0
 
-    def step(state, dt: float, t: float):
-        rho, clipped = state
-        f1 = vlasov_rhs(model, grid, rho)
-        f2 = vlasov_rhs(model, grid, rho + 0.5 * dt * f1)
-        f3 = vlasov_rhs(model, grid, rho + 0.5 * dt * f2)
-        f4 = vlasov_rhs(model, grid, rho + dt * f3)
-        rho = rho + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-
+    def clip(rho: np.ndarray, t: float) -> np.ndarray:
+        nonlocal clipped
         under = -float(np.sum(np.minimum(rho, 0.0))) * grid.weight
         if under > 0.0:
             clipped += under
             rho = np.maximum(rho, 0.0)
         if not np.all(np.isfinite(rho)) or float(np.max(rho)) > blowup_sup:
             raise BlowUpError(f"density blow-up at t = {t:.4f}")
-        return rho, clipped
+        return rho
 
-    times, states, served = steps.run((rho, 0.0), step)
-    clipped = states[-1][1]
+    times, states, served = steps.run(rho, lambda r: vlasov_rhs(model, grid, r),
+                                      lambda y, c, f: y + c * f, clip)
     if clipped > 1e-12:
         warnings.warn(f"clipped {clipped:.3e} units of negative mass during integration",
                       RuntimeWarning)
-    fields = [VlasovField(grid, rho, t) for t, (rho, _) in zip(times, states)]
+    fields = [VlasovField(grid, rho, t) for t, rho in zip(times, states)]
     return VlasovResult(times, fields, clipped, steps.dt, served)
 
 

@@ -467,6 +467,14 @@ class TestKeyTable:
         assert main(["--config", path, "--seed", "-1", "simulate"]) == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one(self, tmp_path, capsys, threads):
+        path = write_config(tmp_path / "c.json", valid_config(tmp_path / "out"))
+        assert main(["--config", path, "--threads", threads, "simulate"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: --threads = {threads} must be > 0"]
+        assert not (tmp_path / "out").exists()
+
     def test_error_escaping_compute_is_not_a_config_error(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("broken engine")
@@ -527,6 +535,19 @@ class TestVlasovCli:
         header, rows = read_csv(tmp_path / "out" / "rho.csv")
         assert header == ["time", "x0", "rho"]
         assert all(r[-1] >= 0 for r in rows)
+
+
+    def test_overflowing_loss_rate_aborts_before_any_output(self, tmp_path, capsys):
+        # sup L is about 1.6e15, so the stability bound is about 3.2e-16
+        cfg = glauber_config(tmp_path / "out", z=5.0, s=1.0)
+        cfg["model"]["phi"]["height"] = 800.0
+        cfg["run"] = {"T": 0.2, "dt": 0.05, "snapshots": 2, "initial_density": 0.2}
+        code = main(["--config", write_config(tmp_path / "c.json", cfg), "vlasov"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1
+        assert lines[0].startswith("aborted: dt = 0.05 exceeds the stability guard 3.")
+        assert not (tmp_path / "out" / "rho.csv").exists()
 
 
 class TestScaleCompare:

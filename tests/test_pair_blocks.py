@@ -115,6 +115,28 @@ def test_pair_histogram_exact_at_block_edges(monkeypatch, dim, label, n):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
+def test_pair_histogram_counts_edge_values_like_numpy(monkeypatch, dim):
+    """Points on the lattice of the bin width, one of them twice, put
+    distances exactly on every edge, L/2 (the last edge) among them, and, in
+    d = 2, past L/2: an
+    interior edge counts in the bin to its right, the last edge in the last
+    bin, and a distance past L/2 in none, as `np.histogram` counts them."""
+    torus = Torus(dim, 1.0)
+    edges = pair_edges(torus, Grid(torus, 4))
+    width = edges[1]
+    axis = np.arange(0.0, 1.0, width)
+    pts = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    pts = np.vstack([pts, pts[:1]])   # a coincident pair: distance 0, the first edge
+    r = torus.distance(pts[:, None, :], pts[None, :, :])[np.triu_indices(len(pts), k=1)]
+    assert np.isin(edges, r).all()
+    assert (r == edges[-1]).any() and ((r > edges[-1]).any() if dim == 2 else True)
+    with_block_rows(monkeypatch, len(pts), BLOCK_ROWS)
+    got = _pair_histogram(torus, pts, edges)
+    assert np.array_equal(got, np.histogram(r, bins=edges)[0])
+    assert got.sum() == np.count_nonzero(r <= edges[-1])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("label,n", SIZES + [("default", 700)])
 def test_run_ensemble_pair_counts_equal_oracle(monkeypatch, dim, label, n):
     """A one-snapshot ensemble at t = 0 reports the oracle's pair counts of

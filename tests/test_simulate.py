@@ -1,4 +1,5 @@
 import math
+import os
 import signal
 
 import numpy as np
@@ -226,6 +227,47 @@ class TestEnsemble:
         par = run_ensemble(db_model, threads=2, **kwargs)
         assert np.array_equal(seq.correlations.k1, par.correlations.k1)
         assert np.array_equal(seq.population_mean, par.population_mean)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_raise(self, db_model, grid10, threads):
+        with pytest.raises(ValueError, match=f"threads = {threads}"):
+            run_ensemble(db_model, PoissonInitial(0.6), T=0.1, replicas=2, seed=0,
+                         estimator_grid=grid10, threads=threads)
+
+    @pytest.mark.parametrize("threads,replicas,cpus,workers", [
+        (5000, 2, 8, 2),       # capped by the replicas
+        (3, 4, 8, 3),          # the cap itself
+        (8, 4, 3, 3),          # capped by the CPUs
+        (8, 4, None, None),    # CPU count unknown: one worker, no pool
+        (2, 1, 8, None),       # one replica: no pool
+    ])
+    def test_worker_count_is_capped(self, db_model, grid10, monkeypatch,
+                                    threads, replicas, cpus, workers):
+        # no real pool: a stand-in records max_workers and maps in this process
+        started = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        import concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        kwargs = dict(initial=PoissonInitial(0.6), T=0.2, replicas=replicas, seed=21,
+                      estimator_grid=grid10)
+        res = run_ensemble(db_model, threads=threads, **kwargs)
+        assert started == ([] if workers is None else [workers])
+        assert np.array_equal(res.population_mean,
+                              run_ensemble(db_model, threads=1, **kwargs).population_mean)
 
     def test_validates_eps(self, db_model, grid10):
         for eps, scaled in BAD_EPS:

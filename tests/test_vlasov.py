@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from birthdeath import (BDLPModel, BoxKernel, CorrelationVector, GlauberModel,
                         evolve, normalize_on_grid,
                         scaling_compare, vlasov_rhs, vlasov_rhs_reference)
-from birthdeath.errors import BlowUpError
+from birthdeath.errors import BlowUpError, StabilityError
 from birthdeath.space import Grid, Torus
 from birthdeath.vlasov import integrate
 
@@ -111,6 +111,30 @@ class TestIntegrate:
         model = bdlp(torus1, grid64, m=1.0, km=0.0, kp=60.0)
         with pytest.raises(BlowUpError):
             integrate(model, grid64, 0.5, T=2.0, dt=0.005, blowup_sup=1e3)
+
+    def test_dt_above_loss_bound_raises(self, torus1, grid64):
+        # L = m + kappa_minus * (a- * rho) = 1 + 0.4 * 0.5 at the density 0.5
+        # (a- has unit grid mass), so the bound is 1 / 2.4
+        model = bdlp(torus1, grid64)
+        bound = 1.0 / (2.0 * (1.0 + 0.4 * 0.5))
+        integrate(model, grid64, 0.5, T=0.41, dt=0.41)
+        with pytest.raises(StabilityError, match="dt = 0.42 exceeds the stability guard") as err:
+            integrate(model, grid64, 0.5, T=0.42, dt=0.42)
+        assert float(str(err.value).split()[-1]) == pytest.approx(bound, rel=1e-12)
+
+    @pytest.mark.parametrize("height,guard", [(800.0, "3."), (20000.0, "0.0")])
+    def test_overflowing_loss_rate_raises_before_any_step(self, torus1, grid64, monkeypatch,
+                                                          height, guard):
+        # at height 800 the loss rate exp(s * phi * rho) peaks near 1.6e15 (its
+        # run once made densities of 1e22 and a RuntimeWarning); at 20000 it
+        # overflows, and the bound is 0
+        model = GlauberModel(torus1, s=1.0, z=5.0, phi=BoxKernel(height, 0.1))
+
+        def never(*args):
+            raise AssertionError("a step was taken")
+        monkeypatch.setattr(GlauberModel, "mean_field_rhs", never)
+        with pytest.raises(StabilityError, match=f"dt = 0.05 exceeds the stability guard {guard}"):
+            integrate(model, grid64, 0.2, T=0.2, dt=0.05)
 
     def test_snapshots(self, glauber, grid64):
         res = integrate(glauber, grid64, 0.2, T=1.0, dt=0.01,
