@@ -358,7 +358,8 @@ def _hierarchy_stationary(model, grid, run, weights, args):
                               max_iter=run["max_iter"])
     return _correlation_tables(grid, [0.0], [result.k_inv]), {
         "iterations": result.iterations, "contraction_q": result.q,
-        "certificate": result.certificate, "fixed_point_residual": result.residual}, 0
+        "certificate": result.certificate, "a_posteriori_bound": result.a_posteriori_bound,
+        "increments": result.increments, "fixed_point_residual": result.residual}, 0
 
 
 def _vlasov(model, grid, run, weights, args):

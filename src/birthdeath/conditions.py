@@ -96,7 +96,8 @@ def beta_tau(phi, tau: float, grid: Grid) -> float:
         vals = phi.values
     else:
         vals = np.asarray(phi, dtype=float).reshape(grid.node_count)
-    return float(grid.weight * np.sum(np.abs(np.expm1(tau * vals))))
+    with np.errstate(over="ignore"):   # an overflow is inf, named by the callers
+        return float(grid.weight * np.sum(np.abs(np.expm1(tau * vals))))
 
 
 class _GlauberConditions:

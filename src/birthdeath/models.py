@@ -293,16 +293,17 @@ class GlauberModel(RateModel):
         _check_eps(eps)
         phi_p = self.phi.profile(grid)
         n = grid.node_count
-        return KernelTables(
-            structure="separable",
-            eps=eps,
-            D1=np.ones(n),
-            D2=np.exp(eps * self.s * phi_p),
-            B1=np.full(n, self.z),
-            B2=self.z * np.exp(eps * (self.s - 1.0) * phi_p),
-            Gd=self._g_death(phi_p, eps),
-            Gb=self._g_birth(phi_p, eps),
-        )
+        with np.errstate(over="ignore"):   # an overflow is inf, named by the callers
+            return KernelTables(
+                structure="separable",
+                eps=eps,
+                D1=np.ones(n),
+                D2=np.exp(eps * self.s * phi_p),
+                B1=np.full(n, self.z),
+                B2=self.z * np.exp(eps * (self.s - 1.0) * phi_p),
+                Gd=self._g_death(phi_p, eps),
+                Gb=self._g_birth(phi_p, eps),
+            )
 
     def birth_total_bound(self, n_points: int, eps: float = 1.0) -> float:
         # b_eps <= z uniformly since phi >= 0 and s <= 1

@@ -159,10 +159,11 @@ def step(state: SimulationState, model: RateModel, eps: float = 1.0,
     """
     birth_scale = _birth_scale(eps, scaled)
     rng = state.generator()
-    chain = _Chain(model, state.configuration.points, state.time, eps, birth_scale,
-                   population_cap)
-    t = chain.next_time(rng)
-    kind = "absorbed" if math.isinf(t) else chain.fire(rng, t)
+    with np.errstate(over="ignore"):   # an overflowing rate aborts in next_time
+        chain = _Chain(model, state.configuration.points, state.time, eps, birth_scale,
+                       population_cap)
+        t = chain.next_time(rng)
+        kind = "absorbed" if math.isinf(t) else chain.fire(rng, t)
     cfg = state.configuration if kind in ("rejected", "absorbed") \
         else FiniteConfiguration(chain.points, model.torus)
     return SimulationState(cfg, t, rng.bit_generator.state, state.event_count + 1)
@@ -263,15 +264,16 @@ def _run_replica(args):
 
     chain = _Chain(model, pts, 0.0, eps, birth_scale, population_cap)
     i_snap = 0
-    while i_snap < len(snap_times):
-        t_next = chain.next_time(rng)
-        while i_snap < len(snap_times) and snap_times[i_snap] <= t_next:
-            record(i_snap, chain.points)
-            i_snap += 1
-        if i_snap >= len(snap_times):
-            break
-        events["proposals"] += 1
-        events[_EVENT_COUNTER[chain.fire(rng, t_next)]] += 1
+    with np.errstate(over="ignore"):   # an overflowing rate aborts in next_time
+        while i_snap < len(snap_times):
+            t_next = chain.next_time(rng)
+            while i_snap < len(snap_times) and snap_times[i_snap] <= t_next:
+                record(i_snap, chain.points)
+                i_snap += 1
+            if i_snap >= len(snap_times):
+                break
+            events["proposals"] += 1
+            events[_EVENT_COUNTER[chain.fire(rng, t_next)]] += 1
 
     return k1_counts, pair_counts, population, events, used_snaps
 

@@ -276,6 +276,11 @@ class TestHierarchy:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["fixed_point_residual"] < 1e-9
         assert 0 <= manifest["contraction_q"] < 1
+        # both bounds, and one increment per iteration
+        assert len(manifest["increments"]) == manifest["iterations"]
+        q = manifest["contraction_q"]
+        assert manifest["a_posteriori_bound"] == q / (1 - q) * manifest["increments"][-1]
+        assert manifest["a_posteriori_bound"] <= 1e-10 < manifest["certificate"]
 
     def test_stationary_refusal_exit_code(self, tmp_path):
         cfg = db_config(tmp_path / "out", M=16)
@@ -588,3 +593,28 @@ def test_cli_import_loads_numpy_only():
     assert not [m for m in loaded if m.partition(".")[0] == "scipy"]
     packages = {m.partition(".")[0] for m in added}
     assert packages - set(sys.stdlib_module_names) == {"birthdeath", "numpy"}
+
+
+@pytest.mark.parametrize("command", [["check"], ["simulate"], ["hierarchy", "evolve"],
+                                     ["hierarchy", "stationary"], ["vlasov"],
+                                     ["scale-compare"]])
+def test_overflowing_model_is_one_aborted_line(tmp_path, command):
+    # Glauber s 1, z 5, box phi of height 800: exp(s phi) overflows in the
+    # rates, the tables and the conditions; every subcommand names the
+    # non-finite result on one line, with no numpy warning before it
+    cfg = glauber_config(tmp_path / "out", z=5.0, s=1.0)
+    cfg["model"]["phi"]["height"] = 800.0
+    cfg["run"] = {"T": 0.2, "dt": 0.05, "snapshots": 2, "initial_density": 0.2,
+                  "homogeneous": False, "replicas": 2, "seed": 3,
+                  "initial": {"type": "poisson", "intensity": 5.0},
+                  "verify_samples": 20, "eps_list": [1.0, 0.3]}
+    src = str(Path(birthdeath.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run([sys.executable, "-m", "birthdeath.cli", "--config",
+                           write_config(tmp_path / "c.json", cfg), *command],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    line, = done.stderr.splitlines()
+    assert line.startswith("aborted: "), line

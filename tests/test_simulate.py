@@ -95,6 +95,17 @@ class TestStep:
             assert a.time == b.time
             assert np.array_equal(a.configuration.points, b.configuration.points)
 
+    def test_step_names_an_overflowing_rate(self):
+        # exp(s * sum of phi) overflows with two points inside the box: the
+        # step aborts on the infinite total rate, with no FloatingPointError
+        # under this suite's errstate(over="raise") and no warning
+        torus = Torus(1, 1.0)
+        model = GlauberModel(torus, s=1.0, z=5.0, phi=BoxKernel(800.0, 0.1))
+        pts = np.array([[0.1], [0.12]])
+        s0 = SimulationState.initial(FiniteConfiguration(pts, torus), seed=3)
+        with pytest.raises(SimulationAbort, match="total event rate inf is not finite"):
+            step(s0, model)
+
     def test_eps_validated(self, db_model, torus10):
         pts = np.linspace(0, 10, 6, endpoint=False).reshape(-1, 1)
         s0 = SimulationState.initial(FiniteConfiguration(pts, torus10), seed=11)
