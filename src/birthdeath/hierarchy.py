@@ -27,10 +27,10 @@ reversal o -> -o, so one application costs O(N log N) and a run holds
 only length-N rows.  The dense layout is the reference the homogeneous
 one is tested against.
 
-Each application allocates its own work arrays and frees them on return:
-the kernel composition w * (Gb @ k2), which becomes the pair result, one
-(rows, N) birth term, and tile-sized scratch for the death and diagonal
-terms, so no buffer outlives it or is shared between two results.
+A pair application writes into at most two (rows, N) work arrays besides
+the kernel composition w * (Gb @ k2), which becomes its result; each is
+made for that application, so no buffer outlives it or is shared between
+two results.
 """
 from __future__ import annotations
 
@@ -224,47 +224,21 @@ def _exp_series(x: np.ndarray, j_lo: int, j_hi: int, shift: int = 0) -> np.ndarr
     return out
 
 
-# side of the square tiles of the dense pair loops (512 KB of float64)
-_TILE = 256
-
-
 class _Layout:
     """The operands of one run: the kernel tables `t` in the layout of its
-    states, and `d2t` and `diag`, the pair death rate D2^T of the swapped
-    pair and the total death rate D2 + D2^T of a pair in the same layout,
-    formed on first use.  Every array is read-only.  Loops over a pair
-    table go tile by tile (`tiles`)."""
+    states, and `diag`, the total death rate D2 + D2^T of a pair in the
+    same layout, formed on first use.  Every array is read-only."""
 
     t: KernelTables
     rows: int
     w: float
 
-    def tiles(self, count: int = 0) -> list:
-        """(rows, cols, scratch) for each tile of a pair table, where
-        scratch holds `count` arrays of the tile's shape, views of arrays
-        made once per call."""
-        raise NotImplementedError
-
     def transpose(self, a: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def plus_transpose(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """a + a^T into `out` (a fresh array when None), which is not a."""
-        out = np.empty(a.shape) if out is None else out
-        a_t = self.transpose(a)
-        for rows, cols, _ in self.tiles():
-            np.add(a[rows, cols], a_t[rows, cols], out=out[rows, cols])
-        return out
-
-    @functools.cached_property
-    def d2t(self) -> np.ndarray:
-        d2t = self.transpose(self.t.D2)
-        d2t.setflags(write=False)
-        return d2t
-
     @functools.cached_property
     def diag(self) -> np.ndarray:
-        diag = self.plus_transpose(self.t.D2)
+        diag = self.t.D2 + self.transpose(self.t.D2)
         diag.setflags(write=False)
         return diag
 
@@ -273,22 +247,14 @@ class _DenseLayout(_Layout):
     """Operands as stored: (N, N) tables indexed by node pairs, each
     gathered once from its offset profile, `profile[grid.offset_index]`.
     States of order one read no pair rates, so at `order` 1 the layout
-    holds None for D2 and B2 instead of gathering them.  An even D2
-    profile, p[-o] = p[o] bit for bit (radial kernels on most grids),
-    makes D2 symmetric, and `d2t` is then D2 itself rather than its
-    strided transposed view."""
+    holds None for D2 and B2 instead of gathering them."""
 
     def __init__(self, t: KernelTables, grid: Grid, order: int = 2):
         self.rows = grid.node_count
         self.w = grid.weight
         if order < 2:
             t = replace(t, D2=None, B2=None)
-        self.d2_even = t.D2 is not None and np.array_equal(t.D2, t.D2[grid.negated_offset])
         self.t = t.map_pairs(lambda p: p[grid.offset_index])
-
-    @functools.cached_property
-    def d2t(self) -> np.ndarray:
-        return self.t.D2 if self.d2_even else self.t.D2.T
 
     def wmatmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Quadrature of a kernel composition, w * (a @ b), scaled in place
@@ -296,17 +262,6 @@ class _DenseLayout(_Layout):
         out = np.matmul(a, b)
         out *= self.w
         return out
-
-    def tiles(self, count: int = 0) -> list:
-        # square tiles of side _TILE, so that a tile's transposed partner
-        # stays in cache while it is read across
-        n = self.rows
-        side = min(n, _TILE)
-        scratch = [np.empty((side, side)) for _ in range(count)]
-        edges = range(0, n, _TILE)
-        return [(slice(i, i + _TILE), slice(j, j + _TILE),
-                 [s[:min(side, n - i), :min(side, n - j)] for s in scratch])
-                for i in edges for j in edges]
 
     def transpose(self, a: np.ndarray) -> np.ndarray:
         return a.T
@@ -320,9 +275,9 @@ class _CirculantLayout(_Layout):
     row, and no (N, N) array is made; a constant vector is carried by its
     entry 0.  Elementwise products, row sums, broadcasts and products
     A[:1] @ k1 with the full-length density keep this form, so the dense
-    formulas apply unchanged to the (1, N) and (1,) slices, which make the
-    one tile; only compositions (periodic convolutions) and transposition
-    (the offset reversal o -> -o) differ.
+    formulas apply unchanged to the (1, N) and (1,) slices; only
+    compositions (periodic convolutions) and transposition (the offset
+    reversal o -> -o) differ.
     """
 
     rows = 1
@@ -334,10 +289,6 @@ class _CirculantLayout(_Layout):
 
     def wmatmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return circular_convolve(self.grid, a, b)[None, :]
-
-    def tiles(self, count: int = 0) -> list:
-        return [(slice(0, 1), slice(None),
-                 [np.empty((1, self.grid.node_count)) for _ in range(count)])]
 
     def transpose(self, a: np.ndarray) -> np.ndarray:
         return a[:, self.grid.negated_offset]
@@ -372,31 +323,50 @@ def _require_closure(cfg: HierarchyConfig) -> None:
             f"(zeta_max = {cfg.zeta_max}); enable the 'zero' or 'poisson' closure")
 
 
-def _gb_k2(t: KernelTables, lay: _Layout, k2e: np.ndarray) -> Callable[[], np.ndarray]:
-    """The composition w * (Gb @ k2), formed on first use and then reused:
-    both the singleton and the pair birth terms need it.  The pair term
-    reads it last and overwrites it."""
-    return functools.cache(lambda: lay.wmatmul(t.Gb, k2e))
+def _operands(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig):
+    """What both parts of one application read: the pair operand k2e, the
+    order-one kernel integrals (cd1, cb1) = w * (Gd @ k1), w * (Gb @ k1)
+    (Ad, Ab under support_one) and the composition gbk2 = w * (Gb @ k2),
+    each None where no part reads it, and a (rows, N) work array that each
+    part overwrites."""
+    t = lay.t
+    z = cfg.zeta_max
+    k2e = _pair_operand(lay, k, cfg.closure)
+    gbk2 = None
+    if t.structure == "support_one":
+        cd1 = lay.w * (t.Ad @ k.k1) if k.order >= 2 and cfg.closure == "poisson" and z >= 1 else None
+        cb1 = lay.w * (t.Ab @ k.k1) if z >= 1 else None
+    else:
+        cd1, cb1 = lay.w * (t.Gd @ k.k1), lay.w * (t.Gb @ k.k1)
+        # the singleton birth term reads gbk2 from kernel order 2, the pair one from 1
+        if z >= (1 if k.order >= 2 else 2):
+            gbk2 = lay.wmatmul(t.Gb, k2e)
+    # the work array is made after gbk2, which outlives it as the pair
+    # result; made first, it cost ~8 % more page faults on the evolve-dense
+    # benchmark workload (glibc malloc)
+    return k2e, (cd1, cb1), gbk2, np.empty_like(k2e)
 
 
 def _order1_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.ndarray,
-                  c1: tuple, gb_k2: Callable[[], np.ndarray], cfg: HierarchyConfig):
+                  c1: tuple, gbk2: Optional[np.ndarray], work: np.ndarray,
+                  cfg: HierarchyConfig):
     """Death (excluding the diagonal kernel term) and birth sums at singletons.
 
     Returns (death_tail, birth_total) with the convention that the full
     dual-generator singleton component is -D1 * k1 - death_tail + birth_total.
-    `c1` holds the order-one kernel integrals (cd1, cb1).
+    Of the operands of `_operands` it writes only `work`.
     """
     z = cfg.zeta_max
     cd1, cb1 = c1
     if t.structure == "support_one":
-        death_tail = lay.w * np.sum(t.Ad * k2e, axis=1) if z >= 1 else np.zeros(lay.rows)
+        death_tail = (lay.w * np.sum(np.multiply(t.Ad, k2e, out=work), axis=1) if z >= 1
+                      else np.zeros(lay.rows))
         birth = k.k0 * t.B1
         if z >= 1:
             birth = birth + cb1
         return death_tail, birth
 
-    rd2 = lay.w * np.sum(t.Gd * k2e, axis=1)
+    rd2 = lay.w * np.sum(np.multiply(t.Gd, k2e, out=work), axis=1)
     # death: kernel order j >= 1 needs k^(1+j); exact at j = 1, closure above
     j_hi_d = z if cfg.closure == "poisson" else min(z, 1)
     death_tail = t.D1 * rd2 * _exp_series(cd1, 1, j_hi_d, shift=1)
@@ -407,65 +377,52 @@ def _order1_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.n
     j_hi_b = z if cfg.closure == "poisson" else min(z, 2)
     if j_hi_b >= 2:
         # sum_{j,l} Gb[i,j] k2[j,l] Gb[i,l]: one product, then row-wise dots
-        qb2 = lay.w * np.sum(gb_k2() * t.Gb, axis=1)
+        qb2 = lay.w * np.sum(np.multiply(gbk2, t.Gb, out=work), axis=1)
         birth = birth + t.B1 * qb2 * _exp_series(cb1, 2, j_hi_b, shift=2)
     return death_tail, birth
 
 
 def _order2_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.ndarray,
-                  c1: tuple, gb_k2: Callable[[], np.ndarray], cfg: HierarchyConfig):
+                  c1: tuple, gbk2: Optional[np.ndarray], work: np.ndarray,
+                  cfg: HierarchyConfig):
     """Death (excluding the diagonal term) and birth matrices at pairs,
     already symmetrized over which point of the pair plays the active role.
 
-    Returns (death_tail, birth): birth is a fresh (rows, N) array (the
-    kernel composition's, when there is one), and death_tail(rows, cols,
-    out, spare) writes one tile of the death matrix into `out`, with
-    `spare` a second scratch array of the tile's shape.
+    Returns (death_tail, birth), two (rows, N) arrays that no operand
+    shares.  The birth term is formed in gbk2 when there is one (Ab @ k2
+    under support_one), so gbk2 must not be read after this call; `work`
+    is overwritten.
     """
     z = cfg.zeta_max
     cd1, cb1 = c1
     if t.structure == "support_one":
-        poisson = cfg.closure == "poisson" and z >= 1
-
-        def death_tail(rows, cols, s, spare):
-            # k2 * (cd1[i] + cd1[j]) under the closure, else zero
-            if poisson:
-                np.add(cd1[rows, None], cd1[None, cols], out=s)
-            else:
-                s.fill(0.0)
-            return np.multiply(k2e[rows, cols], s, out=s)
-
-        bterm = t.B2 * k.k1[None, :]
-        birth = None
-        if z >= 1:
-            birth = lay.wmatmul(t.Ab, k2e)
-            np.add(bterm, birth, out=bterm)
-        return death_tail, lay.plus_transpose(bterm, birth)
-
-    # death: every kernel order j >= 1 exceeds the truncation, so closure only
-    j_hi_d = z if cfg.closure == "poisson" else 0
-    e = _exp_series(cd1, 1, j_hi_d)
-
-    def death_tail(rows, cols, s, spare):
-        # k2 * (a + a^T) for a = D2 * e[:, None], whose transposed tile is
-        # D2^T * e[None, :]
+        # k2 * (cd1[i] + cd1[j]) under the closure, else zero
+        death_tail = np.zeros_like(k2e)
+        if cd1 is not None:
+            np.add(cd1[:, None], cd1[None, :], out=death_tail)
+            np.multiply(k2e, death_tail, out=death_tail)
+        product = lay.wmatmul(t.Ab, k2e) if z >= 1 else None
+    else:
+        # death: every kernel order j >= 1 exceeds the truncation, so closure
+        # only; k2 * (a + a^T) for a = D2 * e[:, None], formed in work
+        j_hi_d = z if cfg.closure == "poisson" else 0
         if j_hi_d >= 1:
-            np.multiply(t.D2[rows, cols], e[rows, None], out=s)
-            s += np.multiply(lay.d2t[rows, cols], e[None, cols], out=spare)
+            np.multiply(t.D2, _exp_series(cd1, 1, j_hi_d)[:, None], out=work)
         else:
-            s.fill(0.0)
-        return np.multiply(k2e[rows, cols], s, out=s)
-
-    # birth: j = 1 exact via k2, higher orders by closure
-    j_hi_b = z if cfg.closure == "poisson" else min(z, 1)
-    bterm = t.B2 * k.k1[None, :]
-    birth = None
-    if j_hi_b >= 1:
-        birth = gb_k2()
-        np.multiply(t.B2, birth, out=birth)
-        np.multiply(birth, _exp_series(cb1, 1, j_hi_b, shift=1)[:, None], out=birth)
-        np.add(bterm, birth, out=bterm)
-    return death_tail, lay.plus_transpose(bterm, birth)
+            work.fill(0.0)
+        death_tail = np.add(work, lay.transpose(work))
+        np.multiply(k2e, death_tail, out=death_tail)
+        # birth: j = 1 exact via k2, higher orders by closure
+        j_hi_b = z if cfg.closure == "poisson" else min(z, 1)
+        product = gbk2 if j_hi_b >= 1 else None
+        if product is not None:
+            np.multiply(t.B2, product, out=product)
+            np.multiply(product, _exp_series(cb1, 1, j_hi_b, shift=1)[:, None], out=product)
+    # bterm = B2 * k1[None, :] (+ the kernel product) in work, then bterm + bterm^T
+    bterm = np.multiply(t.B2, k.k1[None, :], out=work)
+    if product is not None:
+        np.add(bterm, product, out=bterm)
+    return death_tail, np.add(bterm, lay.transpose(bterm), out=product)
 
 
 def _pack_like(k: CorrelationVector, out1: np.ndarray,
@@ -478,31 +435,21 @@ def _pack_like(k: CorrelationVector, out1: np.ndarray,
     return replace(k, k0=0.0, k1=out1, k2=out2)
 
 
-def _operands(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig):
-    """The pair operand of one application, its order-one kernel integrals
-    (cd1, cb1) = w * (Gd @ k1), w * (Gb @ k1) (Ad, Ab under support_one),
-    which both parts read, and the shared composition w * (Gb @ k2)."""
-    t = lay.t
-    k2e = _pair_operand(lay, k, cfg.closure)
-    kd, kb = (t.Gd, t.Gb) if t.structure == "separable" else (t.Ad, t.Ab)
-    return k2e, (lay.w * (kd @ k.k1), lay.w * (kb @ k.k1)), _gb_k2(t, lay, k2e)
-
-
 def _apply_tables(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig) -> CorrelationVector:
     _require_closure(cfg)
     t = lay.t
-    k2e, c1, gb_k2 = _operands(lay, k, cfg)
-    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, c1, gb_k2, cfg)
+    k2e, c1, gbk2, work = _operands(lay, k, cfg)
+    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, c1, gbk2, work, cfg)
     out1 = -t.D1 * k.k1[:lay.rows] - death_tail1 + birth1
     out2 = None
     if k.order >= 2:
-        death_tail2, out2 = _order2_parts(t, lay, k, k2e, c1, gb_k2, cfg)
-        # -k2e * diag - death_tail2 + birth2, tile by tile
-        for rows, cols, (tail, lead) in lay.tiles(2):
-            out = out2[rows, cols]
-            death_tail2(rows, cols, tail, lead)
-            np.multiply(np.negative(k2e[rows, cols], out=lead), lay.diag[rows, cols], out=lead)
-            np.add(np.subtract(lead, tail, out=lead), out, out=out)
+        # last: the pair parts overwrite gbk2
+        death_tail2, out2 = _order2_parts(t, lay, k, k2e, c1, gbk2, work, cfg)
+        # -k2e * diag - death_tail2 + birth2, into the birth term's array
+        lead = np.negative(k2e, out=work)
+        np.multiply(lead, lay.diag, out=lead)
+        np.subtract(lead, death_tail2, out=lead)
+        np.add(lead, out2, out=out2)
     return _pack_like(k, out1, out2)
 
 
@@ -525,21 +472,21 @@ def _ks_tables(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig,
         raise ConditionError(
             f"model {model_name} has vanishing death rate at the empty "
             "configuration; the Kirkwood-Salzburg operator requires d(x, {}) > 0")
-    # a circulant profile holds every entry of its table, so the minimum
-    # over the profile is the minimum over all pairs
-    if k.order >= 2 and np.min(lay.diag) <= 0.0:
-        raise ConditionError(f"model {model_name} has vanishing total death rate on a pair")
-    k2e, c1, gb_k2 = _operands(lay, k, cfg)
-    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, c1, gb_k2, cfg)
+    k2e, c1, gbk2, work = _operands(lay, k, cfg)
+    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, c1, gbk2, work, cfg)
     out1 = (-death_tail1 + birth1) / t.D1
     out2 = None
     if k.order >= 2:
-        death_tail2, out2 = _order2_parts(t, lay, k, k2e, c1, gb_k2, cfg)
-        # (-death_tail2 + birth2) / (D2 + D2^T), tile by tile
-        for rows, cols, (tail, spare) in lay.tiles(2):
-            out = out2[rows, cols]
-            np.negative(death_tail2(rows, cols, tail, spare), out=tail)
-            np.divide(np.add(tail, out, out=out), lay.diag[rows, cols], out=out)
+        # a circulant profile holds every entry of its table, so the
+        # minimum over the profile is the minimum over all pairs
+        if np.min(lay.diag) <= 0.0:
+            raise ConditionError(f"model {model_name} has vanishing total death rate on a pair")
+        # last: the pair parts overwrite gbk2
+        death_tail2, out2 = _order2_parts(t, lay, k, k2e, c1, gbk2, work, cfg)
+        # (-death_tail2 + birth2) / (D2 + D2^T), into the birth term's array
+        np.negative(death_tail2, out=death_tail2)
+        np.add(death_tail2, out2, out=out2)
+        np.divide(out2, lay.diag, out=out2)
     return _pack_like(k, out1, out2)
 
 

@@ -274,8 +274,15 @@ class TestDualGeneratorOracle:
         k = random_vector(rng, grid, 1.5)
         t = oracle_models(grid.torus)[0].hierarchy_tables(grid)
         shared, n_shared = run_all(k, t)
-        monkeypatch.setattr(hierarchy, "_gb_k2",
-                            lambda t, lay, k2e: lambda: lay.wmatmul(t.Gb, k2e))
+        # separately: operands without the product (at zeta_max 0 none is
+        # formed), and each part forms its own
+        operands = hierarchy._operands
+        monkeypatch.setattr(hierarchy, "_operands",
+                            lambda lay, k, cfg: operands(lay, k, replace(cfg, zeta_max=0)))
+        for name in ("_order1_parts", "_order2_parts"):
+            def own_product(t, lay, k, k2e, c1, gbk2, work, cfg, part=getattr(hierarchy, name)):
+                return part(t, lay, k, k2e, c1, lay.wmatmul(t.Gb, k2e), work, cfg)
+            monkeypatch.setattr(hierarchy, name, own_product)
         separate, n_separate = run_all(k, t)
         assert (n_shared, n_separate) == (2, 4)
         for a, b in zip(shared, separate):
@@ -313,7 +320,7 @@ def formula_tables(model, grid, eps):
 
 # ---------------------------------------------------------------------------
 # the dense pair operator as plain whole-array expressions: the reference
-# that the tiled, in-place operator must match bit for bit
+# that the in-place operator must match bit for bit
 
 
 def ref_transpose(lay, grid, a):
@@ -426,7 +433,6 @@ def operator_tables(grid, rng):
 
 
 class TestOperatorMatchesReference:
-    # M = 300 gives a 300 x 300 dense table: one full tile and edge tiles
     @pytest.mark.parametrize("dim,m", [(1, 16), (2, 6), (1, 300)])
     def test_bitwise_equal_to_whole_array_expressions(self, dim, m, rng):
         grid = Grid(Torus(dim, 1.0), m)
@@ -556,8 +562,8 @@ class TestTranslationInvariantTables:
         # d = 2, M = 32, two RK4 steps: the gathered tables D2, B2, Gd, Gb,
         # the pair total, the grid's offset table and three states (state,
         # accumulator, stage) persist; one application adds the composition
-        # w * (Gb @ k2), which becomes its result, one birth term and
-        # tile scratch
+        # w * (Gb @ k2), which becomes its result, and two work arrays: 12
+        # (N, N) arrays, besides length-N vectors (0.03 N^2 in all)
         torus = Torus(2, 1.0)
         grid = Grid(torus, 32)
         model = GlauberModel(torus, s=0.5, z=0.3, phi=BoxKernel(0.4, 0.1))
@@ -569,7 +575,7 @@ class TestTranslationInvariantTables:
         finally:
             tracemalloc.stop()
         assert len(run.times) == 1 and run.times[0] == pytest.approx(0.1)
-        assert peak <= 12 * 8 * grid.node_count ** 2, peak / (8 * grid.node_count ** 2)
+        assert peak < 12.5 * 8 * grid.node_count ** 2, peak / (8 * grid.node_count ** 2)
 
     @pytest.mark.parametrize("dim,m", TIE_GRIDS)
     def test_dense_run_keeps_constant_density(self, dim, m):
