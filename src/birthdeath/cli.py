@@ -164,8 +164,9 @@ def build_model(cfg: dict, torus: Torus, grid: Grid):
         raise ConfigError(f"invalid model parameters: {exc}")
 
 
-# Rows formatted per pass of write_csv: bounds the format string and the
-# cell tuple that one `%` builds.
+# Rows formatted per pass of write_csv, and distinct values of a column per
+# pass of _distinct_texts: bounds the format string and the tuple that one
+# `%` builds.
 _CSV_BLOCK_ROWS = 4096
 # A column's values are formatted once per distinct float64 bit pattern
 # while the distinct patterns are at most this share of its rows: reuse
@@ -200,18 +201,44 @@ def _patterns(bits: np.ndarray, limit: int):
     return patterns, inverse
 
 
+def _whole_codes(column: np.ndarray, limit: int):
+    """The values of `column` as integers when each is a whole number
+    0 <= v < limit other than -0.0 (so no NaN or inf), else None."""
+    # every 64th value first, which rules out most other columns at 1/64 of
+    # the cost; the sign bit rules out negatives and -0.0, the maximum NaN
+    # and inf
+    for part in (column[::64], column):
+        if not np.max(part) < limit or np.any(np.signbit(part)):
+            return None
+        codes = part.astype(np.min_scalar_type(limit - 1))
+        if not np.array_equal(codes, part):
+            return None
+    return codes
+
+
 def _distinct_texts(column: np.ndarray, end: str):
     """(texts, inverse) with `texts[inverse[r]]` the `%.17g` text of
-    `column[r]` followed by `end`, one text per distinct bit pattern (so 0.0
-    and -0.0 stay apart); None when the patterns are too many for reuse to
-    pay."""
-    found = _patterns(column.view(np.int64), int(_CSV_REUSE_MAX_SHARE * len(column)))
+    `column[r]` followed by `end`; None when the distinct values are too
+    many for reuse to pay.
+
+    A column of whole numbers 0 <= v < limit takes the values as `inverse`
+    and the texts of range(max + 1), the decimal digits that `%.17g` makes
+    of them, without a sort; any other column gets one text per distinct
+    bit pattern (so 0.0 and -0.0 stay apart), formatted a chunk of values
+    per `%`."""
+    limit = int(_CSV_REUSE_MAX_SHARE * len(column))
+    codes = _whole_codes(column, limit)
+    if codes is not None:
+        return np.array([f"{v}{end}" for v in range(int(codes.max()) + 1)], dtype=object), codes
+    found = _patterns(column.view(np.int64), limit)
     if found is None:
         return None
     patterns, inverse = found
-    cell = "%.17g" + end
-    texts = np.fromiter((cell % v for v in patterns.view(float)), dtype=object,
-                        count=len(patterns))
+    texts = np.empty(len(patterns), dtype=object)
+    for start in range(0, len(patterns), _CSV_BLOCK_ROWS):
+        chunk = tuple(patterns[start:start + _CSV_BLOCK_ROWS].view(float).tolist())
+        # no text holds a space
+        texts[start:start + len(chunk)] = (" ".join(["%.17g" + end] * len(chunk)) % chunk).split(" ")
     return texts, inverse
 
 
@@ -330,10 +357,16 @@ def _hierarchy_evolve(model, grid, run, weights, args):
             {"dt": result.dt, "norms": result.norms, "times": result.times}, 0)
 
 
-def _timed_rows(times, index, values) -> np.ndarray:
-    """Rows (time, index columns..., value) for each row of `index` at each time."""
-    return np.vstack([np.column_stack([np.full(len(index), t), index, v])
-                      for t, v in zip(times, values)])
+def _timed_rows(times, index: np.ndarray, values) -> np.ndarray:
+    """Rows (time, index columns..., value) for each row of the 2-D `index`
+    at each time."""
+    n, width = index.shape
+    table = np.empty((len(times) * n, width + 2))
+    for block, t, v in zip(np.split(table, len(times)), times, values):
+        block[:, 0] = t
+        block[:, 1:-1] = index
+        block[:, -1] = v
+    return table
 
 
 def _correlation_tables(grid: Grid, times, snapshots) -> dict:

@@ -27,16 +27,17 @@ reversal o -> -o, so one application costs O(N log N) and a run holds
 only length-N rows.  The dense layout is the reference the homogeneous
 one is tested against.
 
-A pair application writes into at most two (rows, N) work arrays besides
-the kernel composition w * (Gb @ k2), which becomes its result; each is
-made for that application, so no buffer outlives it or is shared between
-two results.
+An application writes into a workspace of three (rows, N) arrays (see
+`_Workspace`).  `evolve` makes one per run, and its RK4 steps write into
+buffers that last the run; every other application makes its own, so
+the results it returns share no memory with each other or their operands.
 """
 from __future__ import annotations
 
 import functools
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
@@ -78,15 +79,21 @@ class HierarchyConfig:
             raise ValueError("eps must lie in [0, 1]")
 
 
+def _sup_abs(a: np.ndarray) -> float:
+    """max |a| (0 if empty, NaN with a NaN) without an |a| temporary; + 0.0
+    turns a -0.0 into 0.0."""
+    return max(float(np.max(a, initial=0.0)), -float(np.min(a, initial=0.0))) + 0.0
+
+
 def _weighted_sup(C: float, k0: Optional[float], k1: np.ndarray,
                   k2: Optional[np.ndarray] = None) -> float:
     """The truncated weighted sup norm max(|k0|, sup |k1| / C, sup |k2| / C^2)
     of the orders present (None: absent); NaN when any order holds a NaN."""
-    terms = [float(np.max(np.abs(k1), initial=0.0)) / C]
+    terms = [_sup_abs(k1) / C]
     if k0 is not None:
         terms.append(abs(k0))
     if k2 is not None:
-        terms.append(float(np.max(np.abs(k2), initial=0.0)) / C ** 2)
+        terms.append(_sup_abs(k2) / C ** 2)
     return math.nan if any(map(math.isnan, terms)) else max(terms)
 
 
@@ -169,10 +176,19 @@ class CorrelationVector:
                 k2 = np.outer(rho, rho)
         return cls(grid, C, 1.0, rho, k2, homogeneous)
 
-    def _lin(self, coef: float, vec: "CorrelationVector") -> "CorrelationVector":
-        """self + coef * vec over the represented orders (k0 kept)."""
-        k2 = None if self.k2 is None else self.k2 + coef * vec.k2
-        return replace(self, k1=self.k1 + coef * vec.k1, k2=k2)
+    def _axpy(self, coef: float, vec: "CorrelationVector", out: Optional["CorrelationVector"],
+              work: np.ndarray) -> "CorrelationVector":
+        """self + coef * vec over the represented orders into the arrays of
+        `out` (a new vector when None; k0 kept), coef * vec formed in the
+        float array `work`: the bits of `self.k2 + coef * vec.k2`."""
+        if out is None:   # zeros: a homogeneous vector's k1 must be constant
+            out = replace(self, k1=np.zeros_like(self.k1),
+                          k2=None if self.k2 is None else np.empty_like(self.k2))
+        flat = work.reshape(-1)
+        for y, f, o in ((self.k1, vec.k1, out.k1), (self.k2, vec.k2, out.k2)):
+            if y is not None:
+                np.add(y, np.multiply(f, coef, out=flat[:y.size].reshape(y.shape)), out=o)
+        return out
 
     def diff_norm(self, other: "CorrelationVector") -> float:
         both = self.k2 is not None and other.k2 is not None
@@ -217,11 +233,16 @@ def dual_pairing(G: QuasiObservable, k: CorrelationVector) -> float:
 
 
 def _exp_series(x: np.ndarray, j_lo: int, j_hi: int, shift: int = 0) -> np.ndarray:
-    """sum_{j=j_lo}^{j_hi} x^(j - shift) / j!  (elementwise, j_hi < j_lo -> 0)."""
-    out = np.zeros_like(x)
+    """sum_{j=j_lo}^{j_hi} x^(j - shift) / j!  (elementwise, j_hi < j_lo -> 0).
+
+    The terms are added to 0.0 in order of j, as to an array of zeros (which
+    keeps the sign of a zero sum and every NaN), and the x^0 term is the
+    number 1 / j!, as x ** 0 is 1 even at NaN and inf."""
+    out = 0.0
     for j in range(j_lo, j_hi + 1):
-        out += x ** (j - shift) / math.factorial(j)
-    return out
+        p = j - shift
+        out = out + (x ** p if p else 1.0) / math.factorial(j)
+    return out if isinstance(out, np.ndarray) else np.full_like(x, out)
 
 
 class _Layout:
@@ -245,21 +266,22 @@ class _Layout:
 
 class _DenseLayout(_Layout):
     """Operands as stored: (N, N) tables indexed by node pairs, each
-    gathered once from its offset profile, `profile[grid.offset_index]`.
-    States of order one read no pair rates, so at `order` 1 the layout
-    holds None for D2 and B2 instead of gathering them."""
+    gathered once from its offset profile, `profile[grid.offset_index]`;
+    the index table is freed once they are.  States of order one read no
+    pair rates, so at `order` 1 the layout holds None for D2 and B2 instead
+    of gathering them."""
 
     def __init__(self, t: KernelTables, grid: Grid, order: int = 2):
         self.rows = grid.node_count
         self.w = grid.weight
         if order < 2:
             t = replace(t, D2=None, B2=None)
-        self.t = t.map_pairs(lambda p: p[grid.offset_index])
+        index = grid.offset_index
+        self.t = t.map_pairs(lambda p: p[index])
 
-    def wmatmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Quadrature of a kernel composition, w * (a @ b), scaled in place
-        in the product's fresh array."""
-        out = np.matmul(a, b)
+    def wmatmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Quadrature of a kernel composition, w * (a @ b), into `out`."""
+        out = np.matmul(a, b, out=out)
         out *= self.w
         return out
 
@@ -287,8 +309,9 @@ class _CirculantLayout(_Layout):
         self.w = grid.weight
         self.t = replace(t.map_pairs(lambda p: p[None, :]), D1=t.D1[:1], B1=t.B1[:1])
 
-    def wmatmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return circular_convolve(self.grid, a, b)[None, :]
+    def wmatmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out[0] = circular_convolve(self.grid, a, b)
+        return out
 
     def transpose(self, a: np.ndarray) -> np.ndarray:
         return a[:, self.grid.negated_offset]
@@ -323,15 +346,32 @@ def _require_closure(cfg: HierarchyConfig) -> None:
             f"(zeta_max = {cfg.zeta_max}); enable the 'zero' or 'poisson' closure")
 
 
-def _operands(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig):
+# The (rows, N) arrays an application writes: `product` takes the kernel
+# composition w * (Gb @ k2) (Ab @ k2 under support_one) and then the pair
+# result, `work` is scratch that each part overwrites, and `death` takes
+# the pair death tail (None for states of order one, which have no pair
+# result).
+_Workspace = namedtuple("_Workspace", "product work death")
+
+
+def _workspace(lay: _Layout, k: CorrelationVector) -> _Workspace:
+    """A workspace for applications to states of k's layout and order."""
+    shape = (lay.rows, k.grid.node_count)
+    return _Workspace(np.empty(shape), np.empty(shape),
+                      np.empty(shape) if k.order >= 2 else None)
+
+
+def _operands(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig,
+              ws: Optional[_Workspace]):
     """What both parts of one application read: the pair operand k2e, the
     order-one kernel integrals (cd1, cb1) = w * (Gd @ k1), w * (Gb @ k1)
     (Ad, Ab under support_one) and the composition gbk2 = w * (Gb @ k2),
-    each None where no part reads it, and a (rows, N) work array that each
-    part overwrites."""
+    each None where no part reads it, and the workspace: `ws`, or a new
+    one when None."""
     t = lay.t
     z = cfg.zeta_max
     k2e = _pair_operand(lay, k, cfg.closure)
+    ws = _workspace(lay, k) if ws is None else ws
     gbk2 = None
     if t.structure == "support_one":
         cd1 = lay.w * (t.Ad @ k.k1) if k.order >= 2 and cfg.closure == "poisson" and z >= 1 else None
@@ -340,11 +380,8 @@ def _operands(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig):
         cd1, cb1 = lay.w * (t.Gd @ k.k1), lay.w * (t.Gb @ k.k1)
         # the singleton birth term reads gbk2 from kernel order 2, the pair one from 1
         if z >= (1 if k.order >= 2 else 2):
-            gbk2 = lay.wmatmul(t.Gb, k2e)
-    # the work array is made after gbk2, which outlives it as the pair
-    # result; made first, it cost ~8 % more page faults on the evolve-dense
-    # benchmark workload (glibc malloc)
-    return k2e, (cd1, cb1), gbk2, np.empty_like(k2e)
+            gbk2 = lay.wmatmul(t.Gb, k2e, ws.product)
+    return k2e, (cd1, cb1), gbk2, ws
 
 
 def _order1_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.ndarray,
@@ -383,25 +420,26 @@ def _order1_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.n
 
 
 def _order2_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.ndarray,
-                  c1: tuple, gbk2: Optional[np.ndarray], work: np.ndarray,
+                  c1: tuple, gbk2: Optional[np.ndarray], ws: _Workspace,
                   cfg: HierarchyConfig):
     """Death (excluding the diagonal term) and birth matrices at pairs,
     already symmetrized over which point of the pair plays the active role.
 
-    Returns (death_tail, birth), two (rows, N) arrays that no operand
-    shares.  The birth term is formed in gbk2 when there is one (Ab @ k2
-    under support_one), so gbk2 must not be read after this call; `work`
-    is overwritten.
+    Returns (death_tail, birth) in `ws.death` and `ws.product`.  The birth
+    term is formed in gbk2 when there is one (Ab @ k2 under support_one),
+    so gbk2 must not be read after this call; `ws.work` is overwritten.
     """
     z = cfg.zeta_max
     cd1, cb1 = c1
+    work, death_tail = ws.work, ws.death
     if t.structure == "support_one":
         # k2 * (cd1[i] + cd1[j]) under the closure, else zero
-        death_tail = np.zeros_like(k2e)
         if cd1 is not None:
             np.add(cd1[:, None], cd1[None, :], out=death_tail)
             np.multiply(k2e, death_tail, out=death_tail)
-        product = lay.wmatmul(t.Ab, k2e) if z >= 1 else None
+        else:
+            death_tail.fill(0.0)
+        product = lay.wmatmul(t.Ab, k2e, ws.product) if z >= 1 else None
     else:
         # death: every kernel order j >= 1 exceeds the truncation, so closure
         # only; k2 * (a + a^T) for a = D2 * e[:, None], formed in work
@@ -410,7 +448,7 @@ def _order2_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.n
             np.multiply(t.D2, _exp_series(cd1, 1, j_hi_d)[:, None], out=work)
         else:
             work.fill(0.0)
-        death_tail = np.add(work, lay.transpose(work))
+        np.add(work, lay.transpose(work), out=death_tail)
         np.multiply(k2e, death_tail, out=death_tail)
         # birth: j = 1 exact via k2, higher orders by closure
         j_hi_b = z if cfg.closure == "poisson" else min(z, 1)
@@ -422,7 +460,7 @@ def _order2_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.n
     bterm = np.multiply(t.B2, k.k1[None, :], out=work)
     if product is not None:
         np.add(bterm, product, out=bterm)
-    return death_tail, np.add(bterm, lay.transpose(bterm), out=product)
+    return death_tail, np.add(bterm, lay.transpose(bterm), out=ws.product)
 
 
 def _pack_like(k: CorrelationVector, out1: np.ndarray,
@@ -435,21 +473,26 @@ def _pack_like(k: CorrelationVector, out1: np.ndarray,
     return replace(k, k0=0.0, k1=out1, k2=out2)
 
 
-def _apply_tables(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig) -> CorrelationVector:
+def _apply_tables(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig,
+                  ws: Optional[_Workspace] = None) -> CorrelationVector:
+    """The dual generator applied to k; the pair result is `ws.product`
+    (of a new workspace when ws is None)."""
     _require_closure(cfg)
     t = lay.t
-    k2e, c1, gbk2, work = _operands(lay, k, cfg)
-    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, c1, gbk2, work, cfg)
+    k2e, c1, gbk2, ws = _operands(lay, k, cfg, ws)
+    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, c1, gbk2, ws.work, cfg)
     out1 = -t.D1 * k.k1[:lay.rows] - death_tail1 + birth1
     out2 = None
     if k.order >= 2:
         # last: the pair parts overwrite gbk2
-        death_tail2, out2 = _order2_parts(t, lay, k, k2e, c1, gbk2, work, cfg)
-        # -k2e * diag - death_tail2 + birth2, into the birth term's array
-        lead = np.negative(k2e, out=work)
-        np.multiply(lead, lay.diag, out=lead)
-        np.subtract(lead, death_tail2, out=lead)
-        np.add(lead, out2, out=out2)
+        death_tail2, out2 = _order2_parts(t, lay, k, k2e, c1, gbk2, ws, cfg)
+        # -k2e * diag - death_tail2 + birth2 as birth2 - (k2e * diag + death_tail2)
+        # in the birth term's array: the same bits (rounding to nearest is
+        # symmetric) but for the sign of a NaN, and of a zero where birth2 is
+        # -0.0 and the bracket cancels exactly
+        lead = np.multiply(k2e, lay.diag, out=ws.work)
+        np.add(lead, death_tail2, out=lead)
+        np.subtract(out2, lead, out=out2)
     return _pack_like(k, out1, out2)
 
 
@@ -472,8 +515,8 @@ def _ks_tables(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig,
         raise ConditionError(
             f"model {model_name} has vanishing death rate at the empty "
             "configuration; the Kirkwood-Salzburg operator requires d(x, {}) > 0")
-    k2e, c1, gbk2, work = _operands(lay, k, cfg)
-    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, c1, gbk2, work, cfg)
+    k2e, c1, gbk2, ws = _operands(lay, k, cfg, None)
+    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, c1, gbk2, ws.work, cfg)
     out1 = (-death_tail1 + birth1) / t.D1
     out2 = None
     if k.order >= 2:
@@ -482,7 +525,7 @@ def _ks_tables(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig,
         if np.min(lay.diag) <= 0.0:
             raise ConditionError(f"model {model_name} has vanishing total death rate on a pair")
         # last: the pair parts overwrite gbk2
-        death_tail2, out2 = _order2_parts(t, lay, k, k2e, c1, gbk2, work, cfg)
+        death_tail2, out2 = _order2_parts(t, lay, k, k2e, c1, gbk2, ws, cfg)
         # (-death_tail2 + birth2) / (D2 + D2^T), into the birth term's array
         np.negative(death_tail2, out=death_tail2)
         np.add(death_tail2, out2, out=out2)
@@ -605,22 +648,32 @@ class _TimeSteps:
         self.served = [min(self.count, int(round(t / self.dt))) for t in requested]
 
     def run(self, state, rhs: Callable, axpy: Callable, check: Callable) -> tuple:
-        """Step `state` by RK4 of the engine's `rhs(y)`, `axpy(y, c, f)` (a new
-        y + c f) and `check(y, t)` (y at time t, checked).  Returns the kept
-        times and states, and `served` as indices."""
+        """Step `state` by RK4 of the engine's `rhs(y)`, `axpy(y, c, f, out)`
+        (y + c f written into and returning `out`, a new state when None)
+        and `check(y, t)` (y at time t, checked, or a new state).  Returns
+        the kept times and states, and `served` as indices.
+
+        The engine writes only into the accumulator and the stage node it
+        made; after a step the old state's buffer takes the next sums,
+        unless it is the caller's initial state or a kept one."""
         kept = sorted(set(self.served) | {self.count})
         index = {s: j for j, s in enumerate(kept)}
         states = [state] if 0 in index else []
         h = self.dt
+        acc = node = None   # the engine's buffers, made on first use
+        writable = False    # whether the engine may write into `state`
         for i in range(1, self.count + 1):
-            acc = stage = state
+            total = stage = state
             # a stage's weight in acc, then the next stage's node (none after f4)
             for w, c in ((h / 6.0, 0.5 * h), (h / 3.0, 0.5 * h), (h / 3.0, h), (h / 6.0, 0.0)):
                 f = rhs(stage)
-                acc = axpy(acc, w, f)
-                stage = axpy(state, c, f) if c else None
+                total = acc = axpy(total, w, f, acc)
+                if c:
+                    stage = node = axpy(state, c, f, node)
                 del f   # released before the next stage's derivative is made
-            state = check(acc, i * h)
+            done = check(acc, i * h)
+            acc = state if writable else None
+            state, writable = done, i not in index
             if i in index:
                 states.append(state)
         return [s * h for s in kept], states, [index[s] for s in self.served]
@@ -695,8 +748,11 @@ def evolve(model: RateModel, k0: CorrelationVector, T: float,
                 f"at t = {t:.4f}; check the sufficient conditions or reduce dt")
         return k
 
-    times, snaps, served = steps.run(k0, lambda k: _apply_tables(lay, k, cfg),
-                                     CorrelationVector._lin, guard)
+    # one workspace for the run: each derivative lives in it until the next
+    # application, and the steps form c * f in its work array
+    ws = _workspace(lay, k0)
+    times, snaps, served = steps.run(k0, lambda k: _apply_tables(lay, k, cfg, ws),
+                                     lambda y, c, f, out: y._axpy(c, f, out, ws.work), guard)
     return EvolveResult(times, snaps, [k.ruelle_norm() for k in snaps], steps.dt, served)
 
 

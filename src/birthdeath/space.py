@@ -129,9 +129,11 @@ class Grid:
         pts.setflags(write=False)
         return pts
 
-    @cached_property
+    @property
     def offset_index(self) -> np.ndarray:
-        """Integer table O[i, j] = flat index of node_j - node_i (mod L)."""
+        """Integer table O[i, j] = flat index of node_j - node_i (mod L),
+        made on each access: the grid does not keep this (N, N) table, which
+        a dense run needs only while it gathers its kernel tables."""
         idx = np.arange(self.node_count)
         if self.torus.dim == 1:
             table = (idx[None, :] - idx[:, None]) % self.m

@@ -58,7 +58,8 @@ def vlasov_rhs_reference(model: RateModel, grid: Grid, rho: np.ndarray,
     to cross-validate the closed forms.
     """
     rho = np.asarray(rho, dtype=float).reshape(grid.node_count)
-    t = model.hierarchy_tables(grid, eps=0.0).map_pairs(lambda p: p[grid.offset_index])
+    index = grid.offset_index
+    t = model.hierarchy_tables(grid, eps=0.0).map_pairs(lambda p: p[index])
     w = grid.weight
     if t.structure == "support_one":
         death_int = t.D1 + w * (t.Ad @ rho)
@@ -118,8 +119,10 @@ def integrate(model: RateModel, grid: Grid, rho0, T: float, dt: float,
             raise BlowUpError(f"density blow-up at t = {t:.4f}")
         return rho
 
-    times, states, served = steps.run(rho, lambda r: vlasov_rhs(model, grid, r),
-                                      lambda y, c, f: y + c * f, clip)
+    work = np.empty(grid.node_count)   # c * f of each step, then y + c * f in place
+    times, states, served = steps.run(
+        rho, lambda r: vlasov_rhs(model, grid, r),
+        lambda y, c, f, out: np.add(y, np.multiply(f, c, out=work), out=out), clip)
     if clipped > 1e-12:
         warnings.warn(f"clipped {clipped:.3e} units of negative mass during integration",
                       RuntimeWarning)

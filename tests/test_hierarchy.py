@@ -258,9 +258,9 @@ class TestDualGeneratorOracle:
         products = []
         wmatmul = hierarchy._DenseLayout.wmatmul
 
-        def counted(lay, a, b):
+        def counted(lay, a, b, out):
             products.append(a.shape)
-            return wmatmul(lay, a, b)
+            return wmatmul(lay, a, b, out)
 
         def run_all(k, t):
             cfg = HierarchyConfig(zeta_max=2, closure="poisson")
@@ -278,10 +278,11 @@ class TestDualGeneratorOracle:
         # formed), and each part forms its own
         operands = hierarchy._operands
         monkeypatch.setattr(hierarchy, "_operands",
-                            lambda lay, k, cfg: operands(lay, k, replace(cfg, zeta_max=0)))
+                            lambda lay, k, cfg, ws: operands(lay, k, replace(cfg, zeta_max=0), ws))
         for name in ("_order1_parts", "_order2_parts"):
             def own_product(t, lay, k, k2e, c1, gbk2, work, cfg, part=getattr(hierarchy, name)):
-                return part(t, lay, k, k2e, c1, lay.wmatmul(t.Gb, k2e), work, cfg)
+                return part(t, lay, k, k2e, c1, lay.wmatmul(t.Gb, k2e, np.empty_like(k2e)),
+                            work, cfg)
             monkeypatch.setattr(hierarchy, name, own_product)
         separate, n_separate = run_all(k, t)
         assert (n_shared, n_separate) == (2, 4)
@@ -414,6 +415,24 @@ def ref_operator(lay, grid, k, cfg, ks):
 
 def bitwise_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_exp_series_bitwise_equal_to_zeros_loop():
+    """The truncated exponential series equals the loop from an array of zeros
+    with x ** 0 evaluated, bit for bit: signed zeros, subnormals, overflow,
+    infinities and NaNs of either sign and several payloads."""
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFF4000000000ABC], dtype=np.uint64).view(float)
+    x = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 1e-160, -1e-160,
+                         0.3, -0.7, 2.5, -3.0, 1e200, -1e200, np.inf, -np.inf], nans])
+    with np.errstate(all="ignore"):
+        for j_lo in range(4):
+            for j_hi in range(j_lo - 1, 6):
+                for shift in range(j_lo + 1):
+                    for arg in [x] + [x[i:i + 1] for i in range(len(x))]:
+                        got = hierarchy._exp_series(arg, j_lo, j_hi, shift)
+                        want = ref_exp_series(arg, j_lo, j_hi, shift)
+                        assert bitwise_equal(got, want), (arg, j_lo, j_hi, shift)
 
 
 def operator_tables(grid, rng):
@@ -560,10 +579,11 @@ class TestTranslationInvariantTables:
 
     def test_dense_run_peak_in_pair_tables(self):
         # d = 2, M = 32, two RK4 steps: the gathered tables D2, B2, Gd, Gb,
-        # the pair total, the grid's offset table and three states (state,
-        # accumulator, stage) persist; one application adds the composition
-        # w * (Gb @ k2), which becomes its result, and two work arrays: 12
-        # (N, N) arrays, besides length-N vectors (0.03 N^2 in all)
+        # the pair total, the run's operator workspace (the composition
+        # w * (Gb @ k2) that becomes each result, a work array and the death
+        # tail) and three states (state, accumulator, stage): 11 (N, N)
+        # arrays, besides length-N vectors (0.03 N^2 in all); the offset
+        # table is freed once the tables are gathered
         torus = Torus(2, 1.0)
         grid = Grid(torus, 32)
         model = GlauberModel(torus, s=0.5, z=0.3, phi=BoxKernel(0.4, 0.1))
@@ -575,7 +595,7 @@ class TestTranslationInvariantTables:
         finally:
             tracemalloc.stop()
         assert len(run.times) == 1 and run.times[0] == pytest.approx(0.1)
-        assert peak < 12.5 * 8 * grid.node_count ** 2, peak / (8 * grid.node_count ** 2)
+        assert peak < 11.5 * 8 * grid.node_count ** 2, peak / (8 * grid.node_count ** 2)
 
     @pytest.mark.parametrize("dim,m", TIE_GRIDS)
     def test_dense_run_keeps_constant_density(self, dim, m):

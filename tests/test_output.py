@@ -208,6 +208,33 @@ def repeats_across_blocks():
                             np.full(n, 1.0 / 3.0)])
 
 
+def whole_numbers(*replaced):
+    """Columns of the whole numbers 0..9 thirty times over, the k-th with
+    its entry 13 (a 3) replaced by replaced[k]."""
+    columns = np.tile(np.arange(10.0), (len(replaced), 30))
+    columns[:, 13] = replaced
+    return columns.T
+
+
+def one_beyond(n):
+    """The whole numbers 0..n three times over, then n + 1."""
+    return np.concatenate([np.tile(np.arange(n + 1.0), 3), [n + 1.0]])[:, None]
+
+
+def distinct_beyond_a_chunk():
+    """A column repeating more distinct values than one formatting chunk holds."""
+    m = 2 * cli._CSV_BLOCK_ROWS + 100
+    return (np.arange(3 * m) % m / 7.0)[:, None]
+
+
+# whole numbers that the writer must not take as integer codes
+WHOLE_NUMBER_CASES = {
+    "whole-numbers-with-negative-zero": whole_numbers(-0.0),
+    "large-whole-numbers": np.tile([[2.0 ** 53, 1e17, 1e17 + 2.0 ** 14]], (40, 1)),
+    "negative-whole-numbers": np.tile(np.arange(-5.0, 5.0), 30)[:, None],
+    "whole-numbers-with-nan-inf-half": whole_numbers(np.nan, np.inf, 0.5),
+}
+
 # table -> which columns the writer formats once per distinct value
 WRITER_CASES = {
     "signed-zeros": (np.tile([[0.0, -0.0, 2.5], [-0.0, 0.0, -0.0]], (60, 1)),
@@ -230,9 +257,11 @@ WRITER_CASES = {
     [],
     np.zeros((0, 3)),
     np.zeros((3, 0)),
-] + [rows for rows, _ in WRITER_CASES.values()],
+] + [rows for rows, _ in WRITER_CASES.values()] + list(WHOLE_NUMBER_CASES.values()) + [
+    one_beyond(40), distinct_beyond_a_chunk()],
     ids=["special-values", "float-array", "int-array", "across-blocks", "empty-list",
-         "empty-array", "no-columns"] + list(WRITER_CASES))
+         "empty-array", "no-columns"] + list(WRITER_CASES) + list(WHOLE_NUMBER_CASES) + [
+        "zero-to-n-then-n-plus-1", "reused-beyond-a-chunk"])
 def test_write_csv_matches_reference(rows, tmp_path):
     header = ["a", "b", "c"]
     write_csv(tmp_path / "new.csv", header, rows)
@@ -251,3 +280,14 @@ def test_write_csv_formats_repeated_columns_once(case):
             texts, inverse = col
             assert len(texts) == len(np.unique(table[:, c].view(np.int64)))
             assert texts[inverse].tolist() == [f"{v:.17g}" for v in table[:, c].tolist()]
+
+
+def test_whole_number_columns_are_not_sorted(monkeypatch):
+    """The node indices i, j of a dense k2.csv take their values as codes:
+    no sort of the column (`_patterns`) runs."""
+    n = 16
+    monkeypatch.setattr(cli, "_patterns", None)
+    for column in np.divmod(np.arange(3 * n * n) % (n * n), n):
+        column = column.astype(float)
+        texts, inverse = cli._distinct_texts(column, ",")
+        assert texts[inverse].tolist() == [f"{v:.17g}," for v in column.tolist()]

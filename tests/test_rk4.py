@@ -6,6 +6,7 @@ combination, and it fails when a stage weight or node is made first order.
 The hierarchy's combination is pinned bit for bit against RK4 written out.
 """
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from birthdeath import BoxKernel, CorrelationVector, GlauberModel, HierarchyConfig, evolve
 from birthdeath.hierarchy import _apply_tables, _layout
+from birthdeath import vlasov
 from birthdeath.space import Grid, Torus
 from birthdeath.vlasov import integrate
 
@@ -84,3 +86,93 @@ def test_hierarchy_combination_is_pinned(setup, homogeneous):
     assert got.k0 == k.k0
     for want, have in zip(y, (got.k1, got.k2)):
         assert np.array_equal(have.view(np.int64), want.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# the engine writes into buffers it owns: every kept state equals RK4 written
+# out of place (a new y + c * f per stage, as before the buffers), and no kept
+# state shares memory with another or with the initial state, which the run
+# leaves as it was
+
+
+def rk4_out_of_place(y, f, axpy, check, h, steps):
+    """The states after steps 1..steps of RK4 with each sum a new value."""
+    out = []
+    for i in range(1, steps + 1):
+        f1 = f(y)
+        f2 = f(axpy(y, 0.5 * h, f1))
+        f3 = f(axpy(y, 0.5 * h, f2))
+        f4 = f(axpy(y, h, f3))
+        acc = axpy(axpy(axpy(axpy(y, h / 6.0, f1), h / 3.0, f2), h / 3.0, f3), h / 6.0, f4)
+        y = check(acc)
+        out.append(y)
+    return out
+
+
+def assert_owned(arrays, initial):
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:] + initial:
+            assert not np.shares_memory(a, b)
+
+
+#: steps kept of 6: every one, and some (so a state buffer is reused)
+KEPT_STEPS = [[1, 2, 3, 4, 5, 6], [2, 3, 6]]
+
+
+@pytest.mark.parametrize("homogeneous", [False, True])
+@pytest.mark.parametrize("kept", KEPT_STEPS)
+def test_evolve_buffers_match_out_of_place_rk4(setup, homogeneous, kept):
+    model, _, _ = setup
+    grid = Grid(Torus(1, 1.0), 16)
+    rho0 = 0.2 + 0.05 * np.cos(2.0 * math.pi * grid.nodes[:, 0])
+    k = CorrelationVector.coherent(grid, 1.5, 0.2 if homogeneous else rho0, order=2,
+                                   homogeneous=homogeneous)
+    saved = (k.k1.copy(), k.k2.copy())
+    cfg = HierarchyConfig()
+    lay = _layout(model.hierarchy_tables(grid, cfg.eps), grid, homogeneous)
+    h = 0.05
+    run = evolve(model, k, T=6 * h, dt=h, cfg=cfg, snapshot_times=[s * h for s in kept],
+                 check=False)
+    want = rk4_out_of_place(
+        k, lambda y: _apply_tables(lay, y, cfg),
+        lambda y, c, f: replace(y, k1=y.k1 + c * f.k1, k2=y.k2 + c * f.k2), lambda y: y,
+        run.dt, 6)
+    assert len(run.snapshots) == len(kept)
+    for step, got in zip(kept, run.snapshots):
+        assert got.k0 == k.k0
+        for have, exp in ((got.k1, want[step - 1].k1), (got.k2, want[step - 1].k2)):
+            assert np.array_equal(have.view(np.int64), exp.view(np.int64)), step
+    assert_owned([a for s in run.snapshots for a in (s.k1, s.k2)], [k.k1, k.k2])
+    assert np.array_equal(k.k1, saved[0]) and np.array_equal(k.k2, saved[1])
+
+
+@pytest.mark.parametrize("clips", [False, True])
+@pytest.mark.parametrize("kept", KEPT_STEPS)
+def test_integrate_buffers_match_out_of_place_rk4(setup, monkeypatch, clips, kept):
+    model, grid, rho0 = setup
+    rho0 = rho0.copy()
+    saved = rho0.copy()
+    h = 0.05
+    if clips:
+        # a sink that drives part of the density below zero within a step
+        sink = np.linspace(0.0, 4.0, grid.node_count)
+        monkeypatch.setattr(vlasov, "vlasov_rhs", lambda model, grid, rho: -0.5 * rho - sink)
+    rhs = vlasov.vlasov_rhs
+    clipped = []
+
+    def clip(rho):
+        if np.any(rho < 0.0):
+            clipped.append(True)
+            return np.maximum(rho, 0.0)
+        return rho
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore" if clips else "error", RuntimeWarning)
+        run = integrate(model, grid, rho0, T=6 * h, dt=h, snapshot_times=[s * h for s in kept])
+    want = rk4_out_of_place(rho0, lambda r: rhs(model, grid, r), lambda y, c, f: y + c * f,
+                            clip, run.dt, 6)
+    assert bool(clipped) == clips and (run.clipped_mass > 0.0) == clips
+    for step, field in zip(kept, run.fields):
+        assert np.array_equal(field.rho.view(np.int64), want[step - 1].view(np.int64)), step
+    assert_owned([f.rho for f in run.fields], [rho0])
+    assert np.array_equal(rho0, saved)
