@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -164,16 +165,14 @@ def build_model(cfg: dict, torus: Torus, grid: Grid):
         raise ConfigError(f"invalid model parameters: {exc}")
 
 
-# Rows formatted per pass of write_csv, and distinct values of a column per
-# pass of _distinct_texts: bounds the format string and the tuple that one
-# `%` builds.
+# Values formatted per `%`, and lines written per `write`: bounds the
+# format string, the tuple and the texts that one pass builds.
 _CSV_BLOCK_ROWS = 4096
-# A column's values are formatted once per distinct float64 bit pattern
-# while the distinct patterns are at most this share of its rows: reuse
-# costs a sort and a text per distinct value, and saves the `%.17g` of
-# every repeat.  In 196,608 x 4 tables, reuse of one column won up to a
-# share of 0.5 beside reused columns, broke even from 0.3 to 0.5 beside
-# columns formatted cell by cell, and lost from 0.6 on.
+# A value column's values are formatted once per distinct float64 bit
+# pattern while these are at most this share of its rows: reuse costs a sort
+# and a text per distinct value and saves the `%.17g` of each repeat.  On
+# 3 x 256 x 256 rows it took 0.4-0.7 of the cell-by-cell time up to a share
+# of 0.6 and lost from 0.9 on; the bound is lower as reused texts are all held.
 _CSV_REUSE_MAX_SHARE = 0.4
 
 
@@ -188,8 +187,7 @@ def _patterns(bits: np.ndarray, limit: int):
         return None
     order = np.argsort(bits)
     ordered = bits[order]
-    first = np.empty(len(bits), dtype=bool)
-    first[0] = True
+    first = np.ones(len(bits), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     patterns = ordered[first]
     if len(patterns) > limit:
@@ -201,80 +199,68 @@ def _patterns(bits: np.ndarray, limit: int):
     return patterns, inverse
 
 
-def _whole_codes(column: np.ndarray, limit: int):
-    """The values of `column` as integers when each is a whole number
-    0 <= v < limit other than -0.0 (so no NaN or inf), else None."""
-    # every 64th value first, which rules out most other columns at 1/64 of
-    # the cost; the sign bit rules out negatives and -0.0, the maximum NaN
-    # and inf
-    for part in (column[::64], column):
-        if not np.max(part) < limit or np.any(np.signbit(part)):
-            return None
-        codes = part.astype(np.min_scalar_type(limit - 1))
-        if not np.array_equal(codes, part):
-            return None
-    return codes
+def _texts(values: np.ndarray, end: str) -> list:
+    """The `%.17g` text of each value, followed by `end`; one `%` formats a
+    chunk of values, faster than one `%` per value (no text holds a space)."""
+    texts = []
+    for start in range(0, len(values), _CSV_BLOCK_ROWS):
+        chunk = values[start:start + _CSV_BLOCK_ROWS].tolist()
+        texts += (f"%.17g{end} " * len(chunk) % tuple(chunk)).split(" ")[:-1]
+    return texts
 
 
-def _distinct_texts(column: np.ndarray, end: str):
-    """(texts, inverse) with `texts[inverse[r]]` the `%.17g` text of
-    `column[r]` followed by `end`; None when the distinct values are too
-    many for reuse to pay.
-
-    A column of whole numbers 0 <= v < limit takes the values as `inverse`
-    and the texts of range(max + 1), the decimal digits that `%.17g` makes
-    of them, without a sort; any other column gets one text per distinct
-    bit pattern (so 0.0 and -0.0 stay apart), formatted a chunk of values
-    per `%`."""
-    limit = int(_CSV_REUSE_MAX_SHARE * len(column))
-    codes = _whole_codes(column, limit)
-    if codes is not None:
-        return np.array([f"{v}{end}" for v in range(int(codes.max()) + 1)], dtype=object), codes
-    found = _patterns(column.view(np.int64), limit)
+def _value_texts(column: np.ndarray, end: str):
+    """A function of (start, stop) giving the texts of `column[start:stop]`.
+    While reuse pays, each distinct bit pattern (so 0.0 and -0.0 stay apart)
+    is formatted once, here; otherwise each call formats its cells."""
+    found = _patterns(column.view(np.int64), int(_CSV_REUSE_MAX_SHARE * len(column)))
     if found is None:
-        return None
-    patterns, inverse = found
-    texts = np.empty(len(patterns), dtype=object)
-    for start in range(0, len(patterns), _CSV_BLOCK_ROWS):
-        chunk = tuple(patterns[start:start + _CSV_BLOCK_ROWS].view(float).tolist())
-        # no text holds a space
-        texts[start:start + len(chunk)] = (" ".join(["%.17g" + end] * len(chunk)) % chunk).split(" ")
-    return texts, inverse
+        return lambda start, stop: _texts(column[start:stop], end)
+    texts = np.array(_texts(found[0].view(float), end), dtype=object)
+    return lambda start, stop: texts[found[1][start:stop]].tolist()
 
 
-def write_csv(path: Path, header, rows) -> None:
-    """Write a header line, then each row of `rows` (a 2-D numeric table) as
-    `%.17g` of every cell, comma-separated, with `\\r\\n` line ends.
+def _columns(values) -> np.ndarray:
+    """`values` as a float table of one row per entry; a 1-D array is one column."""
+    table = np.asarray(values, dtype=float)
+    return table[:, None] if table.ndim == 1 else table
 
-    A column with few distinct values has each formatted once (see
-    `_distinct_texts`) and its cells written as those texts; the other
-    columns are formatted cell by cell.  The bytes are the same either way.
+
+def write_csv(path: Path, header, rows, axes=()) -> None:
+    """Write a header line, then one line per entry of the Cartesian product
+    of `axes` (C order) and its values: `%.17g` of every cell,
+    comma-separated, with `\\r\\n` line ends.
+
+    An axis is 1-D, or 2-D with one row per entry; `rows` holds the value
+    columns (1-D: one column), a row per entry, and with no axes it is the
+    whole table.  Each axis is formatted once, every axis but the last gives
+    a block of lines their prefix, and only value columns may reuse texts
+    (see `_value_texts`); the bytes are the same either way.
     """
-    table = np.asarray(rows, dtype=float)
+    table = _columns(rows)
+    axes = [_columns(axis) for axis in axes] or [np.empty((len(table), 0))]
+    if len(table) != np.prod([len(axis) for axis in axes]):
+        raise ValueError(f"{len(table)} rows for axes of {[len(axis) for axis in axes]} entries")
+    # every cell of a line but its last ends in a comma
+    ends = iter([","] * (sum(axis.shape[1] for axis in axes) + table.shape[1] - 1) + [""])
+    texts = [[_texts(column, next(ends)) for column in axis.T] for axis in axes]
+    values = [_value_texts(column, next(ends)) for column in table.T]
+    last, n, start = texts.pop(), len(axes[-1]), 0
+    heads = itertools.product(*[map("".join, zip(*axis)) for axis in texts])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        if not table.size:
-            fh.write("\r\n" * len(table))
-            return
-        ends = [","] * (table.shape[1] - 1) + ["\r\n"]
-        columns = [_distinct_texts(table[:, c], end) for c, end in enumerate(ends)]
-        line = "".join(["%.17g" + end if col is None else "%s"
-                        for col, end in zip(columns, ends)])
-        reused = [col is not None for col in columns]
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start:start + _CSV_BLOCK_ROWS]
-            if any(reused):
-                cells = np.empty(block.shape, dtype=object)
-                for c, col in enumerate(columns):
-                    cells[:, c] = block[:, c] if col is None else \
-                        col[0][col[1][start:start + _CSV_BLOCK_ROWS]]
-                block = cells
-            if all(reused):
-                # every cell is a finished text: joining them is `line % cells`
-                # at a third of the cost
-                fh.write("".join(block.ravel().tolist()))
-            else:
-                fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        for head in map("".join, heads):
+            for lo in range(0, n, _CSV_BLOCK_ROWS):
+                hi = min(lo + _CSV_BLOCK_ROWS, n)
+                block = [column[lo:hi] for column in last] + \
+                    [value(start, start + hi - lo) for value in values]
+                # each line's cells, then the line break and the next line's head
+                cells = [f"\r\n{head}"] * ((len(block) + 1) * (hi - lo))
+                for c, column in enumerate(block):
+                    cells[c::len(block) + 1] = column
+                cells[-1] = "\r\n"
+                fh.write(head + "".join(cells))
+                start += hi - lo
 
 
 def _write_json(path: Path, document: dict) -> None:
@@ -331,12 +317,11 @@ def _simulate(model, grid, run, weights, args):
     corr = result.correlations
     return {
         "k1.csv": ([f"bin_center_{i}" for i in range(grid.torus.dim)] + ["estimate", "std_error"],
-                   np.column_stack([grid.nodes + grid.spacing / 2.0, corr.k1, corr.k1_se])),
+                   np.column_stack([corr.k1, corr.k1_se]), [grid.nodes + grid.spacing / 2.0]),
         "k2.csv": (["bin_center", "estimate", "std_error"],
-                   np.column_stack([corr.k2_centers, corr.k2, corr.k2_se])),
-        "population.csv": (["time", "mean", "std_error"],
-                           np.column_stack([result.snapshot_times, result.population_mean,
-                                            result.population_se])),
+                   np.column_stack([corr.k2, corr.k2_se]), [corr.k2_centers]),
+        "population.csv": (["time", "mean", "std_error"], np.column_stack(
+            [result.population_mean, result.population_se]), [result.snapshot_times]),
     }, {
         "seed": seed, "replicas": run["replicas"], "replica_seeding": REPLICA_SEEDING,
         "events": result.events,
@@ -357,38 +342,26 @@ def _hierarchy_evolve(model, grid, run, weights, args):
             {"dt": result.dt, "norms": result.norms, "times": result.times}, 0)
 
 
-def _timed_rows(times, index: np.ndarray, values) -> np.ndarray:
-    """Rows (time, index columns..., value) for each row of the 2-D `index`
-    at each time."""
-    n, width = index.shape
-    table = np.empty((len(times) * n, width + 2))
-    for block, t, v in zip(np.split(table, len(times)), times, values):
-        block[:, 0] = t
-        block[:, 1:-1] = index
-        block[:, -1] = v
-    return table
-
-
 def _correlation_tables(grid: Grid, times, snapshots) -> dict:
     tables = {"k1.csv": (["time"] + [f"x{i}" for i in range(grid.torus.dim)] + ["k1"],
-                         _timed_rows(times, grid.nodes, [snap.k1 for snap in snapshots]))}
+                         np.concatenate([snap.k1 for snap in snapshots]), [times, grid.nodes])}
     if snapshots[0].k2 is None:
         return tables
     n = grid.node_count
     if snapshots[0].homogeneous:   # k2 by node offset u, at separation |x_u - x_0|
-        header, pairs = ["offset", "separation"], np.column_stack(
-            [np.arange(n), grid.torus.distance(grid.nodes, grid.nodes[0])])
+        header, pairs = ["offset", "separation"], [np.column_stack(
+            [np.arange(n), grid.torus.distance(grid.nodes, grid.nodes[0])])]
     else:
-        header, pairs = ["i", "j"], np.column_stack(np.divmod(np.arange(n * n), n))
+        header, pairs = ["i", "j"], [np.arange(n), np.arange(n)]
     tables["k2.csv"] = (["time", *header, "k2"],
-                        _timed_rows(times, pairs, [snap.k2.ravel() for snap in snapshots]))
+                        np.concatenate([snap.k2.ravel() for snap in snapshots]), [times, *pairs])
     return tables
 
 
 def _hierarchy_stationary(model, grid, run, weights, args):
     hcfg = HierarchyConfig(zeta_max=weights["zeta_max"], closure=weights["closure"], eps=1.0)
     result = stationary_solve(model, grid, weights["C"], cfg=hcfg, tol=run["tol"],
-                              max_iter=run["max_iter"])
+                              max_iter=run["max_iter"], homogeneous=run["homogeneous"])
     return _correlation_tables(grid, [0.0], [result.k_inv]), {
         "iterations": result.iterations, "contraction_q": result.q,
         "certificate": result.certificate, "a_posteriori_bound": result.a_posteriori_bound,
@@ -400,7 +373,8 @@ def _vlasov(model, grid, run, weights, args):
                               snapshot_times=run["snapshot_times"]
                               or list(np.linspace(0.0, run["T"], run["snapshots"])))
     return {"rho.csv": (["time"] + [f"x{i}" for i in range(grid.torus.dim)] + ["rho"],
-                        _timed_rows(result.times, grid.nodes, [f.rho for f in result.fields]))}, \
+                        np.concatenate([f.rho for f in result.fields]),
+                        [result.times, grid.nodes])}, \
         {"dt": result.dt, "clipped_mass": result.clipped_mass, "times": result.times}, 0
 
 
@@ -408,16 +382,15 @@ def _scale_compare(model, grid, run, weights, args):
     table = scaling_compare(model, grid, run["eps_list"], run["initial_density"], run["T"],
                             run["dt"], weights["C"], snapshot_times=run["snapshot_times"] or None,
                             zeta_max=weights["zeta_max"], closure=weights["closure"])
-    n_eps, n_times = table.errors.shape
-    return {"errors.csv": (["eps", "time", "error"], np.column_stack([
-        np.repeat(table.eps_list, n_times), np.tile(table.times, n_eps), table.errors.ravel()]))}, \
+    return {"errors.csv": (["eps", "time", "error"], table.errors.ravel(),
+                           [table.eps_list, table.times])}, \
         {"eps_list": table.eps_list, "times": table.times, "step_times": table.step_times}, 0
 
 
 # name: (function, the run keys it needs, its own defaults of run keys, help).  The
 # function maps the validated run (model, grid, run and weights settings, arguments)
-# to its tables, manifest extras and exit code.  A table is (header, rows) for a CSV
-# file or a dict for a JSON file; an extra may be a function of the phase timings.
+# to its tables, manifest extras and exit code.  A table is write_csv's (header, rows,
+# axes) for a CSV file or a dict for a JSON file; an extra may be a function of the timings.
 _COMMANDS = {
     "check": (_check, (), {}, "evaluate the sufficient conditions"),
     "simulate": (_simulate, ("T", "replicas", "initial"), {"snapshots": 1},

@@ -168,9 +168,6 @@ class Grid:
         vals = np.asarray(fn(self.nodes), dtype=float).reshape(self.node_count)
         return GridFunction(self, vals)
 
-    def constant(self, value: float) -> "GridFunction":
-        return GridFunction(self, np.full(self.node_count, float(value)))
-
 
 @dataclass(frozen=True)
 class GridFunction:

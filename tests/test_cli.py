@@ -282,6 +282,36 @@ class TestHierarchy:
         assert manifest["a_posteriori_bound"] == q / (1 - q) * manifest["increments"][-1]
         assert manifest["a_posteriori_bound"] <= 1e-10 < manifest["certificate"]
 
+    @pytest.mark.parametrize("d,M", [(1, 16), (2, 6)])
+    def test_stationary_dense_matches_circulant(self, tmp_path, d, M):
+        """run.homogeneous false solves on the (N, N) pair table: k2.csv over
+        (i, j) holds the circulant solution gathered by node offset, and the
+        default (true) output is unchanged."""
+        out = {}
+        for homogeneous in (None, True, False):
+            out[homogeneous] = tmp_path / f"out-{homogeneous}"
+            cfg = db_config(out[homogeneous], M=M)
+            cfg["space"]["d"] = d
+            cfg["run"] = {"tol": 1e-10} if homogeneous is None else \
+                {"tol": 1e-10, "homogeneous": homogeneous}
+            assert main(["--config", write_config(tmp_path / "c.json", cfg),
+                         "hierarchy", "stationary"]) == 0
+        for name in ("k1.csv", "k2.csv"):
+            assert (out[None] / name).read_bytes() == (out[True] / name).read_bytes()
+        header, rows = read_csv(out[False] / "k2.csv")
+        circulant_header, circulant = read_csv(out[True] / "k2.csv")
+        assert header == ["time", "i", "j", "k2"]
+        assert circulant_header == ["time", "offset", "separation", "k2"]
+        _, grid = cli.build_space(cfg)
+        n = grid.node_count
+        assert [r[1:3] for r in rows] == [[i, j] for i in range(n) for j in range(n)]
+        dense = np.array([r[-1] for r in rows]).reshape(n, n)
+        gathered = np.array([r[-1] for r in circulant])[grid.offset_index]
+        assert np.max(np.abs(dense - gathered)) <= 1e-12
+        _, k1_dense = read_csv(out[False] / "k1.csv")
+        _, k1_circulant = read_csv(out[True] / "k1.csv")
+        assert np.max(np.abs(np.array(k1_dense) - np.array(k1_circulant))) <= 1e-12
+
     def test_stationary_refusal_exit_code(self, tmp_path):
         cfg = db_config(tmp_path / "out", M=16)
         cfg["model"]["kappa_minus"] = 3.0   # far outside the window

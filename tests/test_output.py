@@ -8,13 +8,17 @@ reference rows, and the files must match byte for byte.
 """
 import csv
 import hashlib
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from birthdeath import cli
 from birthdeath.cli import main, write_csv
+from birthdeath.hierarchy import CorrelationVector
+from birthdeath.space import Grid, Torus
 
 
 def reference_write_csv(path, header, rows):
@@ -227,7 +231,8 @@ def distinct_beyond_a_chunk():
     return (np.arange(3 * m) % m / 7.0)[:, None]
 
 
-# whole numbers that the writer must not take as integer codes
+# value columns of whole numbers, with entries (-0.0, NaN, inf, 0.5, values
+# beyond 2^53, negatives) that a shortcut for integers would get wrong
 WHOLE_NUMBER_CASES = {
     "whole-numbers-with-negative-zero": whole_numbers(-0.0),
     "large-whole-numbers": np.tile([[2.0 ** 53, 1e17, 1e17 + 2.0 ** 14]], (40, 1)),
@@ -270,24 +275,105 @@ def test_write_csv_matches_reference(rows, tmp_path):
 
 
 @pytest.mark.parametrize("case", list(WRITER_CASES))
-def test_write_csv_formats_repeated_columns_once(case):
-    rows, reused = WRITER_CASES[case]
-    table = np.asarray(rows, dtype=float)
-    columns = [cli._distinct_texts(table[:, c], "") for c in range(table.shape[1])]
-    assert [col is not None for col in columns] == reused
-    for c, col in enumerate(columns):
-        if col is not None:
-            texts, inverse = col
-            assert len(texts) == len(np.unique(table[:, c].view(np.int64)))
-            assert texts[inverse].tolist() == [f"{v:.17g}" for v in table[:, c].tolist()]
+def test_write_csv_formats_repeated_columns_once(case, monkeypatch):
+    """A value column with few distinct values has each formatted once, when
+    its texts are made; any other column is formatted a slice at a time."""
+    formatted = []
+    texts = cli._texts
+    monkeypatch.setattr(cli, "_texts", lambda values, end: formatted.append(len(values))
+                        or texts(values, end))
+    table = np.asarray(WRITER_CASES[case][0], dtype=float)
+    for column, reused in zip(table.T, WRITER_CASES[case][1]):
+        formatted.clear()
+        cells = cli._value_texts(column, "")
+        distinct = len(np.unique(column.view(np.int64)))
+        assert formatted == ([distinct] if reused else [])
+        assert cells(0, len(column)) == [f"{v:.17g}" for v in column.tolist()]
+        assert cells(1, 3) == [f"{v:.17g}" for v in column[1:3].tolist()]
+        assert formatted == ([distinct] if reused else [len(column), len(column[1:3])])
 
 
-def test_whole_number_columns_are_not_sorted(monkeypatch):
-    """The node indices i, j of a dense k2.csv take their values as codes:
-    no sort of the column (`_patterns`) runs."""
-    n = 16
-    monkeypatch.setattr(cli, "_patterns", None)
-    for column in np.divmod(np.arange(3 * n * n) % (n * n), n):
-        column = column.astype(float)
-        texts, inverse = cli._distinct_texts(column, ",")
-        assert texts[inverse].tolist() == [f"{v:.17g}," for v in column.tolist()]
+def special_axis():
+    """-0.0 and 0.0, both infinities and NaNs with either sign and two payloads."""
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001],
+                    dtype=np.uint64).view(float)
+    return np.concatenate([[0.0, -0.0, np.inf, -np.inf], nans])
+
+
+# (axes, value columns): the product of the axes in C order, then the values
+AXES_CASES = {
+    "special-axes": ([special_axis(), [2.0, -0.0], special_axis()[::-1]],
+                     np.tile([0.25, -0.0, np.nan], 7 * 2 * 7 // 3 + 1)[:98]),
+    "two-column-axis": ([[0.0, 0.1, 0.2], np.column_stack([np.arange(5.0), np.arange(5) / 3])],
+                        np.arange(15.0).reshape(15, 1) / 7),
+    "two-value-columns": ([[0.5, 1.5]], [[1.0, -2.0], [1.0, 1.0 / 3.0]]),
+    "one-row-axes": ([[0.5], [3.0], [-0.0]], [[1.0, 2.0]]),
+    "last-axis-across-blocks": ([[0.0, 1.0], np.arange(cli._CSV_BLOCK_ROWS + 5.0)],
+                                (np.arange(2 * (cli._CSV_BLOCK_ROWS + 5)) % 7) * 0.1),
+    "dense-k2": ([[0.0, 0.05], np.arange(16), np.arange(16)],
+                 np.tile(np.random.default_rng(5).random(16)[Grid(Torus(1, 1.0), 16).offset_index]
+                         .ravel(), 2)),
+    "zero-rows": ([[0.1, 0.2], []], np.zeros(0)),
+    "zero-rows-first-axis": ([[], [1.0, 2.0]], np.zeros((0, 2))),
+    "one-empty-axis": ([[]], []),
+}
+
+
+@pytest.mark.parametrize("case", list(AXES_CASES))
+def test_write_csv_over_axes_matches_reference(case, tmp_path):
+    def cells(x):   # a list per entry; a 1-D x has one cell per entry
+        x = np.asarray(x, dtype=float)
+        return (x[:, None] if x.ndim == 1 else x).tolist()
+
+    axes, values = AXES_CASES[case]
+    rows = [sum(combo, []) + value
+            for combo, value in zip(itertools.product(*map(cells, axes)), cells(values))]
+    assert len(rows) == len(values)
+    write_csv(tmp_path / "new.csv", ["a", "b"], values, axes)
+    reference_write_csv(tmp_path / "ref.csv", ["a", "b"], rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_rejects_rows_that_do_not_fill_the_axes(tmp_path):
+    with pytest.raises(ValueError, match="5 rows for axes of"):
+        write_csv(tmp_path / "x.csv", ["a", "b", "c"], np.zeros(5), [[0.0, 1.0], [1.0, 2.0]])
+
+
+def test_axes_are_formatted_once_and_never_sorted(tmp_path, monkeypatch):
+    """The time and node index columns of a dense k2.csv are axes: each entry
+    is formatted once, and only the k2 values go through `_patterns`."""
+    n, times = 16, [0.0, 0.1, 0.2]
+    sorted_lengths, formatted = [], []
+    patterns, texts = cli._patterns, cli._texts
+    monkeypatch.setattr(cli, "_patterns", lambda bits, limit: sorted_lengths.append(len(bits))
+                        or patterns(bits, limit))
+    monkeypatch.setattr(cli, "_texts", lambda values, end: formatted.append(len(values))
+                        or texts(values, end))
+    k2 = np.arange(3 * n * n) / 7.0
+    write_csv(tmp_path / "k2.csv", ["time", "i", "j", "k2"], k2, [times, np.arange(n), np.arange(n)])
+    assert sorted_lengths == [len(k2)]
+    assert formatted[:3] == [len(times), n, n]
+    assert sum(formatted[3:]) == len(k2)   # all distinct: formatted cell by cell
+    rows = [[t, i, j, v] for (t, i, j), v in zip(itertools.product(times, range(n), range(n)), k2)]
+    reference_write_csv(tmp_path / "ref.csv", ["time", "i", "j", "k2"], rows)
+    assert (tmp_path / "k2.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_dense_k2_csv_peak_memory(tmp_path):
+    """Writing a dense d = 2, M = 32 k2.csv of two snapshots (2^21 lines)
+    holds about 4 times the k2 values' bytes: the value column, and the sort
+    that finds its distinct values.  The whole (2^21, 4) float table that
+    the writer took before held 7.7 times."""
+    grid = Grid(Torus(2, 1.0), 32)
+    n = grid.node_count
+    k2 = np.random.default_rng(6).random(n)[grid.offset_index]   # k2 of a constant density
+    snapshots = [CorrelationVector(grid, 1.5, 1.0, np.full(n, 0.25), k2, False)] * 2
+    tracemalloc.start()
+    try:
+        for name, table in cli._correlation_tables(grid, [0.0, 0.05], snapshots).items():
+            write_csv(tmp_path / name, *table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "k2.csv").stat().st_size > 2 * n * n * 10
+    assert peak < 4.5 * 2 * 8 * n * n, peak / (2 * 8 * n * n)
