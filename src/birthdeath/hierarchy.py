@@ -18,14 +18,14 @@ kernel table is a radial function of the node offset, so the models hand
 each over as its length-N offset profile (see `KernelTables`).  A general
 state holds an (N, N) pair table; its layout gathers each profile into
 an (N, N) table once per run, and every kernel integral is a dense matrix
-product.  A homogeneous (translation-invariant) state has a constant
-density and a pair function of the node offset, so all tables involved
-are circulant and each is carried by its row 0, which is the profile
-itself.  Kernel compositions then become periodic convolutions by FFT,
-row sums become dot products and transposition becomes the offset
-reversal o -> -o, so one application costs O(N log N) and a run holds
-only length-N rows.  The dense layout is the reference the homogeneous
-one is tested against.
+product (the composition with k2 over the kernel's support only).  A
+homogeneous (translation-invariant) state has a constant density and a
+pair function of the node offset, so all tables involved are circulant
+and each is carried by its row 0, which is the profile itself.  Kernel
+compositions then become periodic convolutions by FFT, row sums become
+dot products and transposition becomes the offset reversal o -> -o, so
+one application costs O(N log N) and a run holds only length-N rows.  The
+dense layout is the reference the homogeneous one is tested against.
 
 An application writes into a workspace of three (rows, N) arrays (see
 `_Workspace`).  `evolve` makes one per run, and its RK4 steps write into
@@ -46,7 +46,7 @@ import numpy as np
 from .conditions import check_conditions
 from .errors import BlowUpError, ConditionError, StabilityError, TruncationError
 from .models import KernelTables, RateModel
-from .space import Grid, circular_convolve
+from .space import Grid, periodic_sum
 
 __all__ = [
     "CorrelationVector", "QuasiObservable", "HierarchyConfig",
@@ -245,31 +245,85 @@ def _exp_series(x: np.ndarray, j_lo: int, j_hi: int, shift: int = 0) -> np.ndarr
     return out if isinstance(out, np.ndarray) else np.full_like(x, out)
 
 
+#: rows of the pair table in one block of a kernel composition on the dense
+#: layout (at least one grid line).  One Gb @ k2 with a reach of 25 lines at
+#: d = 1, M = 256 (OpenBLAS, one thread) took 0.50 ms whole, 0.18 ms in blocks
+#: of 16 or 32 rows and 0.31 ms in blocks of 64; at d = 2, M = 48 (reach 4
+#: lines) it took 0.31 s whole, 0.088 s by single lines and 0.093 s by four.
+_BLOCK_ROWS = 32
+
+
 class _Layout:
     """The operands of one run: the kernel tables `t` in the layout of its
-    states, and `diag`, the total death rate D2 + D2^T of a pair in the
-    same layout, formed on first use.  Every array is read-only."""
+    states, `D2T`, the transposed pair death rate D2^T in the same layout
+    (None at order one), and `diag`, the total death rate D2 + D2^T of a
+    pair, formed on first use.  Every array is read-only.
+
+    `compose(b, out)` writes the kernel composition K @ b, without
+    quadrature weight, into `out`, for K the table of the birth kernel
+    integral: Gb, or Ab under support_one."""
 
     t: KernelTables
+    D2T: Optional[np.ndarray]
     rows: int
     w: float
 
     def transpose(self, a: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    @property
+    def kernel(self) -> np.ndarray:
+        """K, the table that `compose` applies."""
+        return self.t.Gb if self.t.structure == "separable" else self.t.Ab
+
     @functools.cached_property
     def diag(self) -> np.ndarray:
-        diag = self.t.D2 + self.transpose(self.t.D2)
+        diag = self.t.D2 + self.D2T
         diag.setflags(write=False)
         return diag
 
 
+def _read_only(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    if a is not None:
+        a.setflags(write=False)
+    return a
+
+
+def _composition_blocks(grid: Grid, profile: np.ndarray) -> list:
+    """(rows, cols) of each block of K @ b for K = profile[offset_index]:
+    the rows of a block of grid lines along axis 0, and the rows of b within
+    the reach of the profile, a slice or, for a window that wraps around the
+    torus, an index array.  The reach is the largest axis-0 offset, in
+    lines, at which the profile is non-zero (a NaN counts as non-zero), so
+    K is exactly 0.0 outside the window.  A window that covers the torus
+    makes one block, the whole product."""
+    m, n = grid.m, grid.node_count
+    line = n // m                       # nodes per grid line
+    o0 = np.flatnonzero(profile != 0) // line
+    reach = int(np.max(np.minimum(o0, m - o0), initial=0))
+    lines = max(1, _BLOCK_ROWS // line)
+    if lines + 2 * reach >= m:
+        return [(slice(None), slice(None))]
+    blocks = []
+    for start in range(0, m, lines):
+        stop = min(start + lines, m)
+        lo, hi = start - reach, stop + reach
+        cols = slice(lo * line, hi * line) if 0 <= lo and hi <= m \
+            else np.arange(lo * line, hi * line) % n
+        blocks.append((slice(start * line, stop * line), cols))
+    return blocks
+
+
 class _DenseLayout(_Layout):
     """Operands as stored: (N, N) tables indexed by node pairs, each
-    gathered once from its offset profile, `profile[grid.offset_index]`;
-    the index table is freed once they are.  States of order one read no
-    pair rates, so at `order` 1 the layout holds None for D2 and B2 instead
-    of gathering them."""
+    gathered once from its offset profile, `profile[grid.offset_index]`,
+    and D2^T from the reversed profile, `profile[negated_offset]`; the index
+    table is freed once they are.  States of order one read no pair rates,
+    so at `order` 1 the layout holds None for D2, D2T and B2 instead of
+    gathering them.
+
+    A composition runs one matrix product per block of grid lines, against
+    the rows of b within the kernel's reach (see `_composition_blocks`)."""
 
     def __init__(self, t: KernelTables, grid: Grid, order: int = 2):
         self.rows = grid.node_count
@@ -277,12 +331,14 @@ class _DenseLayout(_Layout):
         if order < 2:
             t = replace(t, D2=None, B2=None)
         index = grid.offset_index
+        self.D2T = None if t.D2 is None else _read_only(t.D2[grid.negated_offset][index])
         self.t = t.map_pairs(lambda p: p[index])
+        self.blocks = _composition_blocks(grid, self.kernel[0])   # row 0: the profile
 
-    def wmatmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Quadrature of a kernel composition, w * (a @ b), into `out`."""
-        out = np.matmul(a, b, out=out)
-        out *= self.w
+    def compose(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        kernel = self.kernel
+        for rows, cols in self.blocks:
+            np.matmul(kernel[rows, cols], b[cols], out=out[rows])
         return out
 
     def transpose(self, a: np.ndarray) -> np.ndarray:
@@ -298,8 +354,8 @@ class _CirculantLayout(_Layout):
     entry 0.  Elementwise products, row sums, broadcasts and products
     A[:1] @ k1 with the full-length density keep this form, so the dense
     formulas apply unchanged to the (1, N) and (1,) slices; only
-    compositions (periodic convolutions) and transposition (the offset
-    reversal o -> -o) differ.
+    compositions (periodic sums) and transposition (the offset reversal
+    o -> -o) differ.
     """
 
     rows = 1
@@ -308,9 +364,10 @@ class _CirculantLayout(_Layout):
         self.grid = grid
         self.w = grid.weight
         self.t = replace(t.map_pairs(lambda p: p[None, :]), D1=t.D1[:1], B1=t.B1[:1])
+        self.D2T = None if t.D2 is None else _read_only(t.D2[grid.negated_offset][None, :])
 
-    def wmatmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        out[0] = circular_convolve(self.grid, a, b)
+    def compose(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out[0] = periodic_sum(self.grid, self.kernel, b)
         return out
 
     def transpose(self, a: np.ndarray) -> np.ndarray:
@@ -347,10 +404,9 @@ def _require_closure(cfg: HierarchyConfig) -> None:
 
 
 # The (rows, N) arrays an application writes: `product` takes the kernel
-# composition w * (Gb @ k2) (Ab @ k2 under support_one) and then the pair
-# result, `work` is scratch that each part overwrites, and `death` takes
-# the pair death tail (None for states of order one, which have no pair
-# result).
+# composition Gb @ k2 (Ab @ k2 under support_one) and then the pair result,
+# `work` is scratch that each part overwrites, and `death` takes the pair
+# death term (None for states of order one, which have no pair result).
 _Workspace = namedtuple("_Workspace", "product work death")
 
 
@@ -361,49 +417,53 @@ def _workspace(lay: _Layout, k: CorrelationVector) -> _Workspace:
                       np.empty(shape) if k.order >= 2 else None)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[i, j] b[i, j] for each row i, in one pass without a product table."""
+    return np.einsum("ij,ij->i", a, b)
+
+
 def _operands(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig,
               ws: Optional[_Workspace]):
     """What both parts of one application read: the pair operand k2e, the
     order-one kernel integrals (cd1, cb1) = w * (Gd @ k1), w * (Gb @ k1)
-    (Ad, Ab under support_one) and the composition gbk2 = w * (Gb @ k2),
-    each None where no part reads it, and the workspace: `ws`, or a new
-    one when None."""
+    (Ad, Ab under support_one) and the composition `lay.compose(k2e)`,
+    Gb @ k2 (Ab @ k2) without quadrature weight, in `ws.product`, each None
+    where no part reads it, and the workspace: `ws`, or a new one when None."""
     t = lay.t
     z = cfg.zeta_max
     k2e = _pair_operand(lay, k, cfg.closure)
     ws = _workspace(lay, k) if ws is None else ws
-    gbk2 = None
     if t.structure == "support_one":
         cd1 = lay.w * (t.Ad @ k.k1) if k.order >= 2 and cfg.closure == "poisson" and z >= 1 else None
         cb1 = lay.w * (t.Ab @ k.k1) if z >= 1 else None
+        # only the pair birth term reads a composition, from kernel order 1
+        composed = k.order >= 2 and z >= 1
     else:
         cd1, cb1 = lay.w * (t.Gd @ k.k1), lay.w * (t.Gb @ k.k1)
-        # the singleton birth term reads gbk2 from kernel order 2, the pair one from 1
-        if z >= (1 if k.order >= 2 else 2):
-            gbk2 = lay.wmatmul(t.Gb, k2e, ws.product)
-    return k2e, (cd1, cb1), gbk2, ws
+        # the singleton birth term reads it from kernel order 2, the pair one from 1
+        composed = z >= (1 if k.order >= 2 else 2)
+    product = lay.compose(k2e, ws.product) if composed else None
+    return k2e, (cd1, cb1), product, ws
 
 
 def _order1_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.ndarray,
-                  c1: tuple, gbk2: Optional[np.ndarray], work: np.ndarray,
-                  cfg: HierarchyConfig):
+                  c1: tuple, product: Optional[np.ndarray], cfg: HierarchyConfig):
     """Death (excluding the diagonal kernel term) and birth sums at singletons.
 
     Returns (death_tail, birth_total) with the convention that the full
     dual-generator singleton component is -D1 * k1 - death_tail + birth_total.
-    Of the operands of `_operands` it writes only `work`.
+    It writes none of the operands of `_operands`.
     """
     z = cfg.zeta_max
     cd1, cb1 = c1
     if t.structure == "support_one":
-        death_tail = (lay.w * np.sum(np.multiply(t.Ad, k2e, out=work), axis=1) if z >= 1
-                      else np.zeros(lay.rows))
+        death_tail = lay.w * _row_dots(t.Ad, k2e) if z >= 1 else np.zeros(lay.rows)
         birth = k.k0 * t.B1
         if z >= 1:
             birth = birth + cb1
         return death_tail, birth
 
-    rd2 = lay.w * np.sum(np.multiply(t.Gd, k2e, out=work), axis=1)
+    rd2 = lay.w * _row_dots(t.Gd, k2e)
     # death: kernel order j >= 1 needs k^(1+j); exact at j = 1, closure above
     j_hi_d = z if cfg.closure == "poisson" else min(z, 1)
     death_tail = t.D1 * rd2 * _exp_series(cd1, 1, j_hi_d, shift=1)
@@ -413,54 +473,62 @@ def _order1_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.n
         birth = birth + t.B1 * cb1
     j_hi_b = z if cfg.closure == "poisson" else min(z, 2)
     if j_hi_b >= 2:
-        # sum_{j,l} Gb[i,j] k2[j,l] Gb[i,l]: one product, then row-wise dots
-        qb2 = lay.w * np.sum(np.multiply(gbk2, t.Gb, out=work), axis=1)
+        # w^2 sum_{j,l} Gb[i,j] k2[j,l] Gb[i,l]: row dots of the composition with Gb
+        qb2 = lay.w ** 2 * _row_dots(product, t.Gb)
         birth = birth + t.B1 * qb2 * _exp_series(cb1, 2, j_hi_b, shift=2)
     return death_tail, birth
 
 
 def _order2_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.ndarray,
-                  c1: tuple, gbk2: Optional[np.ndarray], ws: _Workspace,
-                  cfg: HierarchyConfig):
-    """Death (excluding the diagonal term) and birth matrices at pairs,
-    already symmetrized over which point of the pair plays the active role.
+                  c1: tuple, product: Optional[np.ndarray], ws: _Workspace,
+                  cfg: HierarchyConfig, rates: bool):
+    """Death and birth terms at pairs, each summed over which point of the
+    pair plays the active role.
 
-    Returns (death_tail, birth) in `ws.death` and `ws.product`.  The birth
-    term is formed in gbk2 when there is one (Ab @ k2 under support_one),
-    so gbk2 must not be read after this call; `ws.work` is overwritten.
+    Returns (death, birth): the death term k2 * F in `ws.death`, with the
+    death rates D2 + D2^T of the pair in F when `rates` and without them
+    otherwise, and the birth term in `ws.work`.  The birth term is formed
+    in `product` (Gb @ k2, Ab @ k2 under support_one), so it must not be
+    read after this call; `ws.product` is overwritten.
     """
     z = cfg.zeta_max
     cd1, cb1 = c1
-    work, death_tail = ws.work, ws.death
+    work, death = ws.work, ws.death
+    # death: F = f(D2, v[:, None]) + f(D2^T, v[None, :]); D2^T is held as a
+    # table of its own, so no pass reads a transposed array
     if t.structure == "support_one":
-        # k2 * (cd1[i] + cd1[j]) under the closure, else zero
-        if cd1 is not None:
-            np.add(cd1[:, None], cd1[None, :], out=death_tail)
-            np.multiply(k2e, death_tail, out=death_tail)
-        else:
-            death_tail.fill(0.0)
-        product = lay.wmatmul(t.Ab, k2e, ws.product) if z >= 1 else None
+        # f = +, v = cd1 under the closure (else 0); without the rates,
+        # F = v[:, None] + v[None, :]
+        f, v = np.add, np.zeros(lay.rows) if cd1 is None else cd1
+        d2, d2t = (t.D2, lay.D2T) if rates else (0.0, 0.0)
     else:
-        # death: every kernel order j >= 1 exceeds the truncation, so closure
-        # only; k2 * (a + a^T) for a = D2 * e[:, None], formed in work
+        # f = *, v = 1 + e (e without the rates) for the closure series e:
+        # every kernel order j >= 1 exceeds the truncation
         j_hi_d = z if cfg.closure == "poisson" else 0
-        if j_hi_d >= 1:
-            np.multiply(t.D2, _exp_series(cd1, 1, j_hi_d)[:, None], out=work)
+        f, v = np.multiply, _exp_series(cd1, 1, j_hi_d)
+        d2, d2t = t.D2, lay.D2T
+        if rates:
+            v = 1.0 + v
+    with np.errstate(over="ignore"):   # an overflow is inf, which the norm guards see
+        f(d2, v[:, None], out=death)
+        np.add(death, f(d2t, v[None, :], out=work), out=death)
+        np.multiply(death, k2e, out=death)
+        # birth: bterm = B2 * k1[None, :] plus the kernel integral, then bterm + bterm^T
+        if product is None:
+            bterm = np.multiply(t.B2, k.k1[None, :], out=ws.product)
+        elif t.structure == "support_one":
+            # + w * (Ab @ k2), exact at kernel order 1
+            bterm = np.multiply(product, lay.w, out=product)
+            np.add(bterm, np.multiply(t.B2, k.k1[None, :], out=work), out=bterm)
         else:
-            work.fill(0.0)
-        np.add(work, lay.transpose(work), out=death_tail)
-        np.multiply(k2e, death_tail, out=death_tail)
-        # birth: j = 1 exact via k2, higher orders by closure
-        j_hi_b = z if cfg.closure == "poisson" else min(z, 1)
-        product = gbk2 if j_hi_b >= 1 else None
-        if product is not None:
-            np.multiply(t.B2, product, out=product)
-            np.multiply(product, _exp_series(cb1, 1, j_hi_b, shift=1)[:, None], out=product)
-    # bterm = B2 * k1[None, :] (+ the kernel product) in work, then bterm + bterm^T
-    bterm = np.multiply(t.B2, k.k1[None, :], out=work)
-    if product is not None:
-        np.add(bterm, product, out=bterm)
-    return death_tail, np.add(bterm, lay.transpose(bterm), out=ws.product)
+            # B2 * (P * (w e)[:, None] + k1[None, :]) for P = Gb @ k2 and the
+            # series e: j = 1 exact via k2, higher orders by closure
+            j_hi_b = z if cfg.closure == "poisson" else min(z, 1)
+            scale = lay.w * _exp_series(cb1, 1, j_hi_b, shift=1)
+            bterm = np.multiply(product, scale[:, None], out=product)
+            np.add(bterm, k.k1[None, :], out=bterm)
+            np.multiply(bterm, t.B2, out=bterm)
+        return death, np.add(bterm, lay.transpose(bterm), out=work)
 
 
 def _pack_like(k: CorrelationVector, out1: np.ndarray,
@@ -479,20 +547,14 @@ def _apply_tables(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig,
     (of a new workspace when ws is None)."""
     _require_closure(cfg)
     t = lay.t
-    k2e, c1, gbk2, ws = _operands(lay, k, cfg, ws)
-    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, c1, gbk2, ws.work, cfg)
+    k2e, c1, product, ws = _operands(lay, k, cfg, ws)
+    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, c1, product, cfg)
     out1 = -t.D1 * k.k1[:lay.rows] - death_tail1 + birth1
     out2 = None
     if k.order >= 2:
-        # last: the pair parts overwrite gbk2
-        death_tail2, out2 = _order2_parts(t, lay, k, k2e, c1, gbk2, ws, cfg)
-        # -k2e * diag - death_tail2 + birth2 as birth2 - (k2e * diag + death_tail2)
-        # in the birth term's array: the same bits (rounding to nearest is
-        # symmetric) but for the sign of a NaN, and of a zero where birth2 is
-        # -0.0 and the bracket cancels exactly
-        lead = np.multiply(k2e, lay.diag, out=ws.work)
-        np.add(lead, death_tail2, out=lead)
-        np.subtract(out2, lead, out=out2)
+        # last: the pair parts overwrite the composition
+        death2, birth2 = _order2_parts(t, lay, k, k2e, c1, product, ws, cfg, rates=True)
+        out2 = np.subtract(birth2, death2, out=ws.product)
     return _pack_like(k, out1, out2)
 
 
@@ -515,8 +577,8 @@ def _ks_tables(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig,
         raise ConditionError(
             f"model {model_name} has vanishing death rate at the empty "
             "configuration; the Kirkwood-Salzburg operator requires d(x, {}) > 0")
-    k2e, c1, gbk2, ws = _operands(lay, k, cfg, None)
-    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, c1, gbk2, ws.work, cfg)
+    k2e, c1, product, ws = _operands(lay, k, cfg, None)
+    death_tail1, birth1 = _order1_parts(t, lay, k, k2e, c1, product, cfg)
     out1 = (-death_tail1 + birth1) / t.D1
     out2 = None
     if k.order >= 2:
@@ -524,11 +586,10 @@ def _ks_tables(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig,
         # minimum over the profile is the minimum over all pairs
         if np.min(lay.diag) <= 0.0:
             raise ConditionError(f"model {model_name} has vanishing total death rate on a pair")
-        # last: the pair parts overwrite gbk2
-        death_tail2, out2 = _order2_parts(t, lay, k, k2e, c1, gbk2, ws, cfg)
-        # (-death_tail2 + birth2) / (D2 + D2^T), into the birth term's array
-        np.negative(death_tail2, out=death_tail2)
-        np.add(death_tail2, out2, out=out2)
+        # last: the pair parts overwrite the composition
+        death2, birth2 = _order2_parts(t, lay, k, k2e, c1, product, ws, cfg, rates=False)
+        # (birth2 - death2) / (D2 + D2^T), into the composition's array
+        out2 = np.subtract(birth2, death2, out=ws.product)
         np.divide(out2, lay.diag, out=out2)
     return _pack_like(k, out1, out2)
 

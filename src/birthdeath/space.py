@@ -210,8 +210,8 @@ class GridFunction:
         return float(self.grid.weight * self.values.sum())
 
 
-def circular_convolve(grid: Grid, f_values: np.ndarray, g_profile: np.ndarray) -> np.ndarray:
-    """Periodic convolution (f * g)(x_i) = w * sum_j f(x_j) g(x_i - x_j).
+def periodic_sum(grid: Grid, f_values: np.ndarray, g_profile: np.ndarray) -> np.ndarray:
+    """The node sums sum_j f(x_j) g(x_i - x_j), without quadrature weight.
 
     `g_profile` holds g sampled at node offsets from the origin.  Uses the
     fast Fourier transform on the grid shape, exact for grid-sampled data.
@@ -219,5 +219,10 @@ def circular_convolve(grid: Grid, f_values: np.ndarray, g_profile: np.ndarray) -
     shape = grid.shape
     f = np.asarray(f_values, dtype=float).reshape(shape)
     g = np.asarray(g_profile, dtype=float).reshape(shape)
-    conv = np.fft.ifftn(np.fft.fftn(f) * np.fft.fftn(g)).real
-    return grid.weight * conv.reshape(grid.node_count)
+    return np.fft.ifftn(np.fft.fftn(f) * np.fft.fftn(g)).real.reshape(grid.node_count)
+
+
+def circular_convolve(grid: Grid, f_values: np.ndarray, g_profile: np.ndarray) -> np.ndarray:
+    """Periodic convolution (f * g)(x_i) = w * sum_j f(x_j) g(x_i - x_j), the
+    quadrature of `periodic_sum`."""
+    return grid.weight * periodic_sum(grid, f_values, g_profile)

@@ -312,6 +312,23 @@ class TestHierarchy:
         _, k1_circulant = read_csv(out[True] / "k1.csv")
         assert np.max(np.abs(np.array(k1_dense) - np.array(k1_circulant))) <= 1e-12
 
+    def test_stationary_ignores_initial_density(self, tmp_path):
+        """hierarchy stationary reads no initial density: a varying one
+        leaves its default (homogeneous) solve and its bytes as they are,
+        and an explicit homogeneous false still solves on the (N, N) table."""
+        out = {}
+        for case, run in (("absent", {}), ("varying", {"initial_density": [0.1, 0.2] * 4}),
+                          ("dense", {"initial_density": [0.1, 0.2] * 4, "homogeneous": False})):
+            out[case] = tmp_path / case
+            cfg = glauber_config(out[case], M=8)
+            cfg["run"] = dict(run, tol=1e-10)
+            assert main(["--config", write_config(tmp_path / "c.json", cfg),
+                         "hierarchy", "stationary"]) == 0
+        for name in ("k1.csv", "k2.csv"):
+            assert (out["absent"] / name).read_bytes() == (out["varying"] / name).read_bytes()
+        assert read_csv(out["varying"] / "k2.csv")[0] == ["time", "offset", "separation", "k2"]
+        assert read_csv(out["dense"] / "k2.csv")[0] == ["time", "i", "j", "k2"]
+
     def test_stationary_refusal_exit_code(self, tmp_path):
         cfg = db_config(tmp_path / "out", M=16)
         cfg["model"]["kappa_minus"] = 3.0   # far outside the window

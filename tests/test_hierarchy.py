@@ -17,7 +17,7 @@ from birthdeath.errors import (BlowUpError, ConditionError, StabilityError,
                                TruncationError)
 from birthdeath import hierarchy
 from birthdeath.hierarchy import _apply_tables, _ks_tables, _layout, _stability_guard
-from birthdeath.space import Grid, Torus, circular_convolve
+from birthdeath.space import Grid, Torus
 
 
 @pytest.fixture
@@ -252,15 +252,15 @@ class TestDualGeneratorOracle:
             lo = apply_dual_generator(model, k, HierarchyConfig(zeta_max=1, closure="zero"))
             assert_close_to_dense(hi.k1 - lo.k1, 0.5 * t.B1 * qb2, torus.dim)
 
-        # the singleton and pair birth terms share one product w * (Gb @ k2):
-        # one GEMM per application, with results bitwise equal to forming
-        # the product separately in each term
+        # the singleton and pair birth terms share one composition Gb @ k2:
+        # one per application, with results bitwise equal to forming the
+        # composition separately in each term
         products = []
-        wmatmul = hierarchy._DenseLayout.wmatmul
+        compose = hierarchy._DenseLayout.compose
 
-        def counted(lay, a, b, out):
-            products.append(a.shape)
-            return wmatmul(lay, a, b, out)
+        def counted(lay, b, out):
+            products.append(b.shape)
+            return compose(lay, b, out)
 
         def run_all(k, t):
             cfg = HierarchyConfig(zeta_max=2, closure="poisson")
@@ -269,21 +269,21 @@ class TestDualGeneratorOracle:
             outs = [_apply_tables(lay, k, cfg), _ks_tables(lay, k, cfg, "glauber")]
             return outs, len(products)
 
-        monkeypatch.setattr(hierarchy._DenseLayout, "wmatmul", counted)
+        monkeypatch.setattr(hierarchy._DenseLayout, "compose", counted)
         grid = Grid(Torus(1, 1.0), 32)
         k = random_vector(rng, grid, 1.5)
         t = oracle_models(grid.torus)[0].hierarchy_tables(grid)
         shared, n_shared = run_all(k, t)
-        # separately: operands without the product (at zeta_max 0 none is
-        # formed), and each part forms its own
+        # separately: operands without the composition (at zeta_max 0 none
+        # is formed), and each part forms its own
         operands = hierarchy._operands
         monkeypatch.setattr(hierarchy, "_operands",
                             lambda lay, k, cfg, ws: operands(lay, k, replace(cfg, zeta_max=0), ws))
-        for name in ("_order1_parts", "_order2_parts"):
-            def own_product(t, lay, k, k2e, c1, gbk2, work, cfg, part=getattr(hierarchy, name)):
-                return part(t, lay, k, k2e, c1, lay.wmatmul(t.Gb, k2e, np.empty_like(k2e)),
-                            work, cfg)
-            monkeypatch.setattr(hierarchy, name, own_product)
+        order1, order2 = hierarchy._order1_parts, hierarchy._order2_parts
+        monkeypatch.setattr(hierarchy, "_order1_parts", lambda t, lay, k, k2e, c1, product, cfg:
+                            order1(t, lay, k, k2e, c1, lay.compose(k2e, np.empty_like(k2e)), cfg))
+        monkeypatch.setattr(hierarchy, "_order2_parts", lambda t, lay, k, k2e, c1, product, ws, *a, **kw:
+                            order2(t, lay, k, k2e, c1, lay.compose(k2e, ws.product), ws, *a, **kw))
         separate, n_separate = run_all(k, t)
         assert (n_shared, n_separate) == (2, 4)
         for a, b in zip(shared, separate):
@@ -321,17 +321,20 @@ def formula_tables(model, grid, eps):
 
 # ---------------------------------------------------------------------------
 # the dense pair operator as plain whole-array expressions: the reference
-# that the in-place operator must match bit for bit
+# that the in-place operator must match bit for bit.  The composition is the
+# layout's own, checked against the whole product in TestWindowedComposition.
 
 
 def ref_transpose(lay, grid, a):
     return a[:, grid.negated_offset] if lay.rows == 1 else a.T
 
 
-def ref_wmatmul(lay, grid, a, b):
-    if lay.rows == 1:
-        return circular_convolve(grid, a, b)[None, :]
-    return lay.w * (a @ b)
+def ref_compose(lay, b):
+    return lay.compose(b, np.empty_like(b))
+
+
+def ref_row_dots(a, b):
+    return np.einsum("ij,ij->i", a, b)
 
 
 def ref_exp_series(x, j_lo, j_hi, shift=0):
@@ -353,14 +356,14 @@ def ref_pair_operand(lay, k, closure):
 def ref_order1_parts(t, lay, grid, k, k2e, cfg):
     w, z = lay.w, cfg.zeta_max
     if t.structure == "support_one":
-        death_tail = w * np.sum(t.Ad * k2e, axis=1) if z >= 1 else np.zeros(lay.rows)
+        death_tail = w * ref_row_dots(t.Ad, k2e) if z >= 1 else np.zeros(lay.rows)
         birth = k.k0 * t.B1
         if z >= 1:
             birth = birth + w * (t.Ab @ k.k1)
         return death_tail, birth
     cd1 = w * (t.Gd @ k.k1)
     cb1 = w * (t.Gb @ k.k1)
-    rd2 = w * np.sum(t.Gd * k2e, axis=1)
+    rd2 = w * ref_row_dots(t.Gd, k2e)
     j_hi_d = z if cfg.closure == "poisson" else min(z, 1)
     death_tail = t.D1 * rd2 * ref_exp_series(cd1, 1, j_hi_d, shift=1)
     birth = k.k0 * t.B1
@@ -368,34 +371,38 @@ def ref_order1_parts(t, lay, grid, k, k2e, cfg):
         birth = birth + t.B1 * cb1
     j_hi_b = z if cfg.closure == "poisson" else min(z, 2)
     if j_hi_b >= 2:
-        qb2 = w * np.sum(ref_wmatmul(lay, grid, t.Gb, k2e) * t.Gb, axis=1)
+        qb2 = w ** 2 * ref_row_dots(ref_compose(lay, k2e), t.Gb)
         birth = birth + t.B1 * qb2 * ref_exp_series(cb1, 2, j_hi_b, shift=2)
     return death_tail, birth
 
 
-def ref_order2_parts(t, lay, grid, k, k2e, cfg):
+def ref_order2_parts(t, lay, grid, k, k2e, cfg, rates):
+    """(death, birth): the death term k2 * F, F with the pair's death rates
+    D2 + D2^T when `rates`, and the symmetrized birth term."""
     w, z = lay.w, cfg.zeta_max
+    d2t = ref_transpose(lay, grid, t.D2)
     if t.structure == "support_one":
-        if cfg.closure == "poisson" and z >= 1:
-            cd1a = w * (t.Ad @ k.k1)
-            death_tail = k2e * (cd1a[:, None] + cd1a[None, :])
+        v = w * (t.Ad @ k.k1) if cfg.closure == "poisson" and z >= 1 else np.zeros(lay.rows)
+        if rates:
+            death = k2e * ((t.D2 + v[:, None]) + (d2t + v[None, :]))
         else:
-            death_tail = np.zeros_like(k2e)
+            death = k2e * (v[:, None] + v[None, :])
         bterm = t.B2 * k.k1[None, :]
         if z >= 1:
-            bterm = bterm + ref_wmatmul(lay, grid, t.Ab, k2e)
-        return death_tail, bterm + ref_transpose(lay, grid, bterm)
+            bterm = w * ref_compose(lay, k2e) + bterm
+        return death, bterm + ref_transpose(lay, grid, bterm)
     cd1 = w * (t.Gd @ k.k1)
     cb1 = w * (t.Gb @ k.k1)
     j_hi_d = z if cfg.closure == "poisson" else 0
-    a = t.D2 * ref_exp_series(cd1, 1, j_hi_d)[:, None] if j_hi_d >= 1 else np.zeros_like(t.D2)
-    death_tail = k2e * (a + ref_transpose(lay, grid, a))
+    u = ref_exp_series(cd1, 1, j_hi_d) + (1.0 if rates else 0.0)
+    death = k2e * (t.D2 * u[:, None] + d2t * u[None, :])
     j_hi_b = z if cfg.closure == "poisson" else min(z, 1)
-    bterm = t.B2 * k.k1[None, :]
     if j_hi_b >= 1:
-        bterm = bterm + t.B2 * ref_wmatmul(lay, grid, t.Gb, k2e) \
-            * ref_exp_series(cb1, 1, j_hi_b, shift=1)[:, None]
-    return death_tail, bterm + ref_transpose(lay, grid, bterm)
+        scale = w * ref_exp_series(cb1, 1, j_hi_b, shift=1)
+        bterm = t.B2 * (ref_compose(lay, k2e) * scale[:, None] + k.k1[None, :])
+    else:
+        bterm = t.B2 * k.k1[None, :]
+    return death, bterm + ref_transpose(lay, grid, bterm)
 
 
 def ref_operator(lay, grid, k, cfg, ks):
@@ -407,9 +414,10 @@ def ref_operator(lay, grid, k, cfg, ks):
     out1 = (-death_tail1 + birth1) / t.D1 if ks else -t.D1 * k.k1[:lay.rows] - death_tail1 + birth1
     out2 = None
     if k.order >= 2:
-        diag = t.D2 + ref_transpose(lay, grid, t.D2)
-        death_tail2, birth2 = ref_order2_parts(t, lay, grid, k, k2e, cfg)
-        out2 = (-death_tail2 + birth2) / diag if ks else -k2e * diag - death_tail2 + birth2
+        death2, birth2 = ref_order2_parts(t, lay, grid, k, k2e, cfg, rates=not ks)
+        out2 = birth2 - death2
+        if ks:
+            out2 = out2 / (t.D2 + ref_transpose(lay, grid, t.D2))
     return out1, out2
 
 
@@ -496,12 +504,65 @@ class TestOperatorMatchesReference:
             second = op(lay, k_b, cfg)
             assert np.array_equal(first.k1, saved[0]) and np.array_equal(first.k2, saved[1])
             held = [first.k1, first.k2, second.k1, second.k2]
-            operands = [k_a.k1, k_a.k2, k_b.k1, k_b.k2, lay.diag] + [
+            operands = [k_a.k1, k_a.k2, k_b.k1, k_b.k2, lay.D2T, lay.diag] + [
                 getattr(lay.t, f.name) for f in dataclasses.fields(lay.t)
                 if isinstance(getattr(lay.t, f.name), np.ndarray)]
             for i, a in enumerate(held):
                 for b in held[i + 1:] + operands:
                     assert not np.shares_memory(a, b)
+
+
+class TestWindowedComposition:
+    """The dense layout composes Gb @ k2 (Ab @ k2) one block of grid lines at
+    a time, against the rows of k2 within the kernel's reach."""
+
+    @pytest.mark.parametrize("dim,m", [(1, 64), (2, 16)])
+    def test_equals_whole_product(self, dim, m, rng):
+        torus = Torus(dim, 1.0)
+        grid = Grid(torus, m)
+        n = grid.node_count
+        for model in box_models(torus, grid):
+            lay = _layout(model.hierarchy_tables(grid), grid, homogeneous=False)
+            # reach 6 lines at d = 1 (two blocks of 32 lines, both wrapping),
+            # 1 line at d = 2 (eight of two lines, the first and last wrapping)
+            plain = [isinstance(cols, slice) for _, cols in lay.blocks]
+            assert plain == ([False] * 2 if dim == 1 else [False] + [True] * 6 + [False])
+            k2 = rng.normal(size=(n, n))
+            whole = lay.kernel @ k2
+            windowed = lay.compose(k2, np.empty_like(k2))
+            assert np.max(np.abs(windowed - whole)) <= 1e-14 * np.max(np.abs(whole)), model.name
+
+    def test_window_covering_the_torus_is_the_whole_product(self, rng):
+        # reach 11 of 32 lines: a block of 32 lines and its window cover the torus
+        grid = Grid(Torus(1, 1.0), 32)
+        for model in oracle_models(grid.torus):
+            lay = _layout(model.hierarchy_tables(grid), grid, homogeneous=False)
+            assert lay.blocks == [(slice(None), slice(None))], model.name
+            k2 = rng.normal(size=(32, 32))
+            assert bitwise_equal(lay.compose(k2, np.empty_like(k2)), lay.kernel @ k2)
+
+    def test_inf_outside_a_window(self):
+        """An inf in k2 row 16 of a d = 1, M = 64 state: the whole product
+        has 0 * inf = NaN in its column on every row beyond the kernel's
+        reach of 6 lines, the windowed one only on the rows of the block
+        whose window holds row 16.  The guard of `evolve` sees a NaN norm
+        either way, as the pair term at the inf entry is itself NaN."""
+        torus = Torus(1, 1.0)
+        grid = Grid(torus, 64)
+        model = box_models(torus, grid)[0]
+        k = CorrelationVector.coherent(grid, 1.5, 0.25, homogeneous=False)
+        k2 = k.k2.copy()
+        k2[16, 5] = math.inf
+        lay = _layout(model.hierarchy_tables(grid), grid, homogeneous=False)
+        in_reach = np.abs(np.arange(64) - 16) <= 6
+        with np.errstate(invalid="ignore"):
+            whole = lay.kernel @ k2
+            windowed = lay.compose(k2, np.empty_like(k2))
+        assert np.array_equal(np.isnan(whole[:, 5]), ~in_reach)
+        assert np.array_equal(np.isnan(windowed[:, 5]), ~in_reach & (np.arange(64) < 32))
+        assert np.array_equal(np.isinf(windowed[:, 5]), in_reach)
+        with np.errstate(invalid="ignore"), pytest.raises(BlowUpError, match="norm nan is not finite"):
+            evolve(model, replace(k, k2=k2), T=0.1, dt=0.05, check=False)
 
 
 class TestTranslationInvariantTables:
@@ -517,7 +578,8 @@ class TestTranslationInvariantTables:
         for model in box_models(torus, grid) + oracle_models(torus):
             for eps in (0.0, 0.5, 1.0):
                 tables = model.hierarchy_tables(grid, eps=eps)
-                dense = _layout(tables, grid, homogeneous=False).t
+                lay = _layout(tables, grid, homogeneous=False)
+                dense = lay.t
                 expect = formula_tables(model, grid, eps)
                 for name in KernelTables.PAIR_FIELDS:
                     case = (model.name, eps, name)
@@ -528,6 +590,7 @@ class TestTranslationInvariantTables:
                     table = getattr(dense, name)
                     assert np.array_equal(table, expect[name]), case
                     assert np.array_equal(table, table[0][grid.offset_index]), case
+                assert np.array_equal(lay.D2T, expect["D2"].T), (model.name, eps)
 
     def test_order_one_dense_layout_gathers_no_pair_rates(self):
         # order-one operators read Gd, Gb (or Ad, Ab) but never D2 or B2
@@ -539,7 +602,7 @@ class TestTranslationInvariantTables:
             tables = model.hierarchy_tables(grid)
             order1 = _layout(tables, grid, homogeneous=False, order=1)
             full = _layout(tables, grid, homogeneous=False)
-            assert order1.t.D2 is None and order1.t.B2 is None, model.name
+            assert order1.t.D2 is None and order1.D2T is None and order1.t.B2 is None, model.name
             assert full.t.D2.shape == full.t.B2.shape == (20, 20)
             for closure, z in (("poisson", 3), ("zero", 2)):
                 cfg = HierarchyConfig(zeta_max=z, closure=closure)
@@ -558,7 +621,7 @@ class TestTranslationInvariantTables:
                 arrays = [getattr(t, f.name) for t in (tables, lay.t)
                           for f in dataclasses.fields(t)
                           if isinstance(getattr(t, f.name), np.ndarray)]
-                for a in arrays + [lay.diag]:
+                for a in arrays + [lay.D2T, lay.diag]:
                     with pytest.raises(ValueError, match="read-only"):
                         a[...] = 0.0
 
@@ -578,12 +641,13 @@ class TestTranslationInvariantTables:
         assert peak < 16 * 2 ** 20, peak
 
     def test_dense_run_peak_in_pair_tables(self):
-        # d = 2, M = 32, two RK4 steps: the gathered tables D2, B2, Gd, Gb,
-        # the pair total, the run's operator workspace (the composition
-        # w * (Gb @ k2) that becomes each result, a work array and the death
-        # tail) and three states (state, accumulator, stage): 11 (N, N)
-        # arrays, besides length-N vectors (0.03 N^2 in all); the offset
-        # table is freed once the tables are gathered
+        # d = 2, M = 32, two RK4 steps: the gathered tables D2, D2^T, B2,
+        # Gd, Gb, the run's operator workspace (the composition Gb @ k2 that
+        # becomes each result, a work array and the death term) and three
+        # states (state, accumulator, stage): 11 (N, N) arrays, besides
+        # length-N vectors (0.03 N^2 in all) and the k2 rows that a wrapping
+        # window gathers (7 lines, 0.21 N^2); the offset table is freed once
+        # the tables are gathered
         torus = Torus(2, 1.0)
         grid = Grid(torus, 32)
         model = GlauberModel(torus, s=0.5, z=0.3, phi=BoxKernel(0.4, 0.1))

@@ -359,6 +359,28 @@ def test_axes_are_formatted_once_and_never_sorted(tmp_path, monkeypatch):
     assert (tmp_path / "k2.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_half_distinct_column_is_never_argsorted(tmp_path, monkeypatch):
+    """A symmetric table is about half distinct, above the reuse limit: a
+    sort counts its values, no argsort orders them, and every cell is
+    formatted.  A column with a quarter distinct still reuses texts."""
+    a = np.random.default_rng(7).random((128, 128))
+    symmetric = (a + a.T).ravel()
+    quarter = np.repeat(np.arange(len(symmetric) // 4) / 7.0, 4)
+    argsorted, argsort = [], np.argsort
+    monkeypatch.setattr(np, "argsort", lambda x, *args, **kw: argsorted.append(len(x))
+                        or argsort(x, *args, **kw))
+    limit = int(cli._CSV_REUSE_MAX_SHARE * len(symmetric))
+    assert cli._patterns(symmetric.view(np.int64), limit) is None
+    write_csv(tmp_path / "k2.csv", ["i", "j", "k2"], symmetric, [np.arange(128), np.arange(128)])
+    assert argsorted == []
+    rows = [[i, j, v] for (i, j), v in zip(itertools.product(range(128), range(128)), symmetric)]
+    reference_write_csv(tmp_path / "ref.csv", ["i", "j", "k2"], rows)
+    assert (tmp_path / "k2.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    patterns, inverse = cli._patterns(quarter.view(np.int64), limit)
+    assert argsorted == [len(quarter)]
+    assert np.array_equal(patterns.view(float)[inverse], quarter)
+
+
 def test_dense_k2_csv_peak_memory(tmp_path):
     """Writing a dense d = 2, M = 32 k2.csv of two snapshots (2^21 lines)
     holds about 4 times the k2 values' bytes: the value column, and the sort

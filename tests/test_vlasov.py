@@ -208,6 +208,22 @@ class TestScalingCompare:
         assert np.all(np.diff(errs) < 0)
         assert errs[-1] < 0.25 * errs[0]
 
+    def test_error_is_first_order_in_eps(self, glauber, torus1):
+        """The eps-order oracle: with eps halved from 1 to 1/32, the distance
+        from the mean-field trajectory halves with eps (observed orders 0.90,
+        0.95, 0.98, 0.99, 0.99), and at eps = 0 it is the kernel-order
+        truncation floor (6.2e-8).  It holds for any arithmetic order of the
+        operator.  A dropped eps in one Glauber table (D2, B2, Gd or Gb) moves
+        the orders off the band or the floor above 1e-4, and the mean-field
+        convolution scaled by 1 + 1e-3 lifts the floor to 2.8e-6."""
+        grid = Grid(torus1, 32)
+        rho0 = 0.2 + 0.05 * np.cos(2 * np.pi * grid.nodes[:, 0])
+        eps = [2.0 ** -j for j in range(6)] + [0.0]
+        errors = scaling_compare(glauber, grid, eps, rho0, T=1.0, dt=0.05, C=1.5).errors[:, 0]
+        orders = [math.log2(a / b) for a, b in zip(errors[:5], errors[1:6])]
+        assert all(0.9 <= p <= 1.1 for p in orders[-3:]), orders
+        assert errors[-1] < 1e-6, errors[-1]
+
     def test_limit_symbols_track_mean_field(self, glauber, grid64):
         table = scaling_compare(glauber, grid64, [0.0], rho0=0.25,
                                 T=1.0, dt=0.01, C=1.5)
