@@ -27,6 +27,10 @@ dot products and transposition becomes the offset reversal o -> -o, so
 one application costs O(N log N) and a run holds only length-N rows.  The
 dense layout is the reference the homogeneous one is tested against.
 
+The pair function is symmetric, k2(x, y) = k2(y, x), so an application
+forms the pair term as X + X^T (see `_order2_parts`); the public entry
+points check that symmetry once per call.
+
 An application writes into a workspace of three (rows, N) arrays (see
 `_Workspace`).  `evolve` makes one per run, and its RK4 steps write into
 buffers that last the run; every other application makes its own, so
@@ -103,11 +107,12 @@ class CorrelationVector:
 
     k0 is the empty-configuration value (one for probability-normalized
     states, zero for defect vectors), k1 the density on the grid, and k2
-    the pair function: either a full symmetric (N, N) table, or, in
-    homogeneous (translation-invariant) mode, a length-N function of the
-    node offset.  Homogeneous mode requires a constant k1 (a ValueError
-    otherwise); the hierarchy operators then work on circulant offset
-    profiles, hold only length-N rows and cost O(N log N) per application.
+    the pair function, symmetric (checked by the operators): either a
+    full (N, N) table, or, in homogeneous (translation-invariant) mode, a
+    length-N function of the node offset.  Homogeneous mode requires a
+    constant k1 (a ValueError otherwise); the hierarchy operators then
+    work on circulant offset profiles, hold only length-N rows and cost
+    O(N log N) per application.
     """
 
     grid: Grid
@@ -170,10 +175,9 @@ class CorrelationVector:
         rho = np.broadcast_to(np.asarray(rho, dtype=float), (n,)).copy()
         k2 = None
         if order >= 2:
-            if homogeneous:
-                k2 = np.full(n, float(rho[0]) ** 2)
-            else:
-                k2 = np.outer(rho, rho)
+            # an overflow is inf, which the norm guards see
+            with np.errstate(over="ignore", invalid="ignore"):
+                k2 = np.full(n, rho[0] * rho[0]) if homogeneous else np.outer(rho, rho)
         return cls(grid, C, 1.0, rho, k2, homogeneous)
 
     def _axpy(self, coef: float, vec: "CorrelationVector", out: Optional["CorrelationVector"],
@@ -255,16 +259,14 @@ _BLOCK_ROWS = 32
 
 class _Layout:
     """The operands of one run: the kernel tables `t` in the layout of its
-    states, `D2T`, the transposed pair death rate D2^T in the same layout
-    (None at order one), and `diag`, the total death rate D2 + D2^T of a
-    pair, formed on first use.  Every array is read-only.
+    states, and `diag`, the total death rate D2 + D2^T of a pair, formed on
+    first use.  Every array is read-only.
 
     `compose(b, out)` writes the kernel composition K @ b, without
     quadrature weight, into `out`, for K the table of the birth kernel
     integral: Gb, or Ab under support_one."""
 
     t: KernelTables
-    D2T: Optional[np.ndarray]
     rows: int
     w: float
 
@@ -278,15 +280,9 @@ class _Layout:
 
     @functools.cached_property
     def diag(self) -> np.ndarray:
-        diag = self.t.D2 + self.D2T
+        diag = self.t.D2 + self.transpose(self.t.D2)
         diag.setflags(write=False)
         return diag
-
-
-def _read_only(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    if a is not None:
-        a.setflags(write=False)
-    return a
 
 
 def _composition_blocks(grid: Grid, profile: np.ndarray) -> list:
@@ -316,11 +312,10 @@ def _composition_blocks(grid: Grid, profile: np.ndarray) -> list:
 
 class _DenseLayout(_Layout):
     """Operands as stored: (N, N) tables indexed by node pairs, each
-    gathered once from its offset profile, `profile[grid.offset_index]`,
-    and D2^T from the reversed profile, `profile[negated_offset]`; the index
-    table is freed once they are.  States of order one read no pair rates,
-    so at `order` 1 the layout holds None for D2, D2T and B2 instead of
-    gathering them.
+    gathered once from its offset profile, `profile[grid.offset_index]`;
+    the index table is freed once they are.  States of order one read no
+    pair rates, so at `order` 1 the layout holds None for D2 and B2 instead
+    of gathering them.
 
     A composition runs one matrix product per block of grid lines, against
     the rows of b within the kernel's reach (see `_composition_blocks`)."""
@@ -331,7 +326,6 @@ class _DenseLayout(_Layout):
         if order < 2:
             t = replace(t, D2=None, B2=None)
         index = grid.offset_index
-        self.D2T = None if t.D2 is None else _read_only(t.D2[grid.negated_offset][index])
         self.t = t.map_pairs(lambda p: p[index])
         self.blocks = _composition_blocks(grid, self.kernel[0])   # row 0: the profile
 
@@ -364,7 +358,6 @@ class _CirculantLayout(_Layout):
         self.grid = grid
         self.w = grid.weight
         self.t = replace(t.map_pairs(lambda p: p[None, :]), D1=t.D1[:1], B1=t.B1[:1])
-        self.D2T = None if t.D2 is None else _read_only(t.D2[grid.negated_offset][None, :])
 
     def compose(self, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         out[0] = periodic_sum(self.grid, self.kernel, b)
@@ -393,6 +386,21 @@ def _pair_operand(lay: _Layout, k: CorrelationVector, closure: str) -> np.ndarra
     return k2e
 
 
+def _check_symmetric(k: CorrelationVector) -> None:
+    """A ValueError unless the pair function of k is symmetric, k2(x, y) =
+    k2(y, x), to 1e-12 of sup |k2|, as the operators assume (the pair term
+    is X + X^T).  One pass over k2, so the entry points check their
+    argument once; a NaN, or inf against inf, is left to the norm guards."""
+    if k.k2 is None:
+        return
+    mirror = k.k2[k.grid.negated_offset] if k.homogeneous else k.k2.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap, sup = _sup_abs(k.k2 - mirror), _sup_abs(k.k2)
+    if gap > 1e-12 * sup:
+        raise ValueError(f"the pair function k2 is not symmetric: k2(x, y) and k2(y, x) "
+                         f"differ by up to {gap:.3e} (sup |k2| = {sup:.3e})")
+
+
 def _require_closure(cfg: HierarchyConfig) -> None:
     # any nonzero kernel order couples the top represented order to the one
     # above it, so a closure rule is mandatory unless the integrals are cut
@@ -405,8 +413,8 @@ def _require_closure(cfg: HierarchyConfig) -> None:
 
 # The (rows, N) arrays an application writes: `product` takes the kernel
 # composition Gb @ k2 (Ab @ k2 under support_one) and then the pair result,
-# `work` is scratch that each part overwrites, and `death` takes the pair
-# death term (None for states of order one, which have no pair result).
+# `work` is scratch that each part overwrites, and `death` takes X of the
+# pair result X + X^T (None for states of order one, which have none).
 _Workspace = namedtuple("_Workspace", "product work death")
 
 
@@ -422,6 +430,9 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+# The parts of an application compute with overflow and invalid operations
+# ignored: an overflow is inf and inf - inf is NaN, which the norm guards see.
+@np.errstate(over="ignore", invalid="ignore")
 def _operands(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig,
               ws: Optional[_Workspace]):
     """What both parts of one application read: the pair operand k2e, the
@@ -446,6 +457,7 @@ def _operands(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig,
     return k2e, (cd1, cb1), product, ws
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _order1_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.ndarray,
                   c1: tuple, product: Optional[np.ndarray], cfg: HierarchyConfig):
     """Death (excluding the diagonal kernel term) and birth sums at singletons.
@@ -479,56 +491,52 @@ def _order1_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.n
     return death_tail, birth
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _order2_parts(t: KernelTables, lay: _Layout, k: CorrelationVector, k2e: np.ndarray,
                   c1: tuple, product: Optional[np.ndarray], ws: _Workspace,
-                  cfg: HierarchyConfig, rates: bool):
-    """Death and birth terms at pairs, each summed over which point of the
-    pair plays the active role.
+                  cfg: HierarchyConfig, rates: bool) -> np.ndarray:
+    """The pair term, birth minus death at pairs, summed over which point
+    of the pair plays the active role: as k2 is symmetric, the term with
+    the second point active is the transpose of the one with the first, so
+    the pair term is X + X^T for X = bterm - k2 * f(D2, v[:, None]), with
+    the pair death rate D2 when `rates` and without it otherwise.
 
-    Returns (death, birth): the death term k2 * F in `ws.death`, with the
-    death rates D2 + D2^T of the pair in F when `rates` and without them
-    otherwise, and the birth term in `ws.work`.  The birth term is formed
-    in `product` (Gb @ k2, Ab @ k2 under support_one), so it must not be
-    read after this call; `ws.product` is overwritten.
+    X is formed in `ws.death`, the pair term returned in `ws.product`.
+    The birth term is formed in `product` (Gb @ k2, Ab @ k2 under
+    support_one), so it must not be read after this call.
     """
     z = cfg.zeta_max
     cd1, cb1 = c1
-    work, death = ws.work, ws.death
-    # death: F = f(D2, v[:, None]) + f(D2^T, v[None, :]); D2^T is held as a
-    # table of its own, so no pass reads a transposed array
+    work, x = ws.work, ws.death
     if t.structure == "support_one":
-        # f = +, v = cd1 under the closure (else 0); without the rates,
-        # F = v[:, None] + v[None, :]
+        # f = +, v = cd1 under the closure (else 0), d2 = 0 without the rates
         f, v = np.add, np.zeros(lay.rows) if cd1 is None else cd1
-        d2, d2t = (t.D2, lay.D2T) if rates else (0.0, 0.0)
+        d2 = t.D2 if rates else 0.0
     else:
         # f = *, v = 1 + e (e without the rates) for the closure series e:
         # every kernel order j >= 1 exceeds the truncation
         j_hi_d = z if cfg.closure == "poisson" else 0
-        f, v = np.multiply, _exp_series(cd1, 1, j_hi_d)
-        d2, d2t = t.D2, lay.D2T
+        f, v, d2 = np.multiply, _exp_series(cd1, 1, j_hi_d), t.D2
         if rates:
             v = 1.0 + v
-    with np.errstate(over="ignore"):   # an overflow is inf, which the norm guards see
-        f(d2, v[:, None], out=death)
-        np.add(death, f(d2t, v[None, :], out=work), out=death)
-        np.multiply(death, k2e, out=death)
-        # birth: bterm = B2 * k1[None, :] plus the kernel integral, then bterm + bterm^T
-        if product is None:
-            bterm = np.multiply(t.B2, k.k1[None, :], out=ws.product)
-        elif t.structure == "support_one":
-            # + w * (Ab @ k2), exact at kernel order 1
-            bterm = np.multiply(product, lay.w, out=product)
-            np.add(bterm, np.multiply(t.B2, k.k1[None, :], out=work), out=bterm)
-        else:
-            # B2 * (P * (w e)[:, None] + k1[None, :]) for P = Gb @ k2 and the
-            # series e: j = 1 exact via k2, higher orders by closure
-            j_hi_b = z if cfg.closure == "poisson" else min(z, 1)
-            scale = lay.w * _exp_series(cb1, 1, j_hi_b, shift=1)
-            bterm = np.multiply(product, scale[:, None], out=product)
-            np.add(bterm, k.k1[None, :], out=bterm)
-            np.multiply(bterm, t.B2, out=bterm)
-        return death, np.add(bterm, lay.transpose(bterm), out=work)
+    np.multiply(f(d2, v[:, None], out=x), k2e, out=x)
+    # birth: bterm = B2 * k1[None, :] plus the kernel integral
+    if product is None:
+        bterm = np.multiply(t.B2, k.k1[None, :], out=ws.product)
+    elif t.structure == "support_one":
+        # + w * (Ab @ k2), exact at kernel order 1
+        bterm = np.multiply(product, lay.w, out=product)
+        np.add(bterm, np.multiply(t.B2, k.k1[None, :], out=work), out=bterm)
+    else:
+        # B2 * (P * (w e)[:, None] + k1[None, :]) for P = Gb @ k2 and the
+        # series e: j = 1 exact via k2, higher orders by closure
+        j_hi_b = z if cfg.closure == "poisson" else min(z, 1)
+        scale = lay.w * _exp_series(cb1, 1, j_hi_b, shift=1)
+        bterm = np.multiply(product, scale[:, None], out=product)
+        np.add(bterm, k.k1[None, :], out=bterm)
+        np.multiply(bterm, t.B2, out=bterm)
+    np.subtract(bterm, x, out=x)
+    return np.add(x, lay.transpose(x), out=ws.product)
 
 
 def _pack_like(k: CorrelationVector, out1: np.ndarray,
@@ -552,9 +560,8 @@ def _apply_tables(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig,
     out1 = -t.D1 * k.k1[:lay.rows] - death_tail1 + birth1
     out2 = None
     if k.order >= 2:
-        # last: the pair parts overwrite the composition
-        death2, birth2 = _order2_parts(t, lay, k, k2e, c1, product, ws, cfg, rates=True)
-        out2 = np.subtract(birth2, death2, out=ws.product)
+        # last: the pair term overwrites the composition
+        out2 = _order2_parts(t, lay, k, k2e, c1, product, ws, cfg, rates=True)
     return _pack_like(k, out1, out2)
 
 
@@ -563,8 +570,10 @@ def apply_dual_generator(model: RateModel, k: CorrelationVector,
     """Apply the dual generator of the (eps-renormalized) dynamics to k.
 
     The empty-configuration component of the result is always zero, so k0
-    is conserved by the induced flow.
+    is conserved by the induced flow.  A k2 that is not symmetric raises
+    ValueError.
     """
+    _check_symmetric(k)
     tables = model.hierarchy_tables(k.grid, cfg.eps)
     return _apply_tables(_layout(tables, k.grid, k.homogeneous, k.order), k, cfg)
 
@@ -586,10 +595,9 @@ def _ks_tables(lay: _Layout, k: CorrelationVector, cfg: HierarchyConfig,
         # minimum over the profile is the minimum over all pairs
         if np.min(lay.diag) <= 0.0:
             raise ConditionError(f"model {model_name} has vanishing total death rate on a pair")
-        # last: the pair parts overwrite the composition
-        death2, birth2 = _order2_parts(t, lay, k, k2e, c1, product, ws, cfg, rates=False)
-        # (birth2 - death2) / (D2 + D2^T), into the composition's array
-        out2 = np.subtract(birth2, death2, out=ws.product)
+        # last: the pair term overwrites the composition, then is divided
+        # by the pair's total death rate D2 + D2^T
+        out2 = _order2_parts(t, lay, k, k2e, c1, product, ws, cfg, rates=False)
         np.divide(out2, lay.diag, out=out2)
     return _pack_like(k, out1, out2)
 
@@ -601,8 +609,10 @@ def ks_operator(model: RateModel, k: CorrelationVector,
     Differs from the dual generator by dropping the empty kernel order in
     the death part and dividing by the total death rate of the argument
     configuration; S vanishes at the empty configuration.  Always uses the
-    unscaled (eps = 1) kernels.
+    unscaled (eps = 1) kernels.  A k2 that is not symmetric raises
+    ValueError.
     """
+    _check_symmetric(k)
     tables = model.hierarchy_tables(k.grid, eps=1.0)
     return _ks_tables(_layout(tables, k.grid, k.homogeneous, k.order), k, cfg, model.name)
 
@@ -779,17 +789,23 @@ def evolve(model: RateModel, k0: CorrelationVector, T: float,
     guard raises.  The run takes ceil(T / dt) equal steps; each requested
     snapshot time (default: T) is served by its nearest step, as `served`
     records, the state at T is always kept, and a snapshot's time is
-    step * dt.  A dt, T or snapshot time out of range raises ValueError.  The
-    Ruelle norm is tracked per step and the run aborts when it exceeds
+    step * dt.  A dt, T or snapshot time out of range, or a k2 that is not
+    symmetric, raises ValueError.  The Ruelle norm is tracked per step and
+    the run aborts when it is not finite (k0's before any step) or exceeds
     `norm_guard` times the initial norm (a symptom of violated conditions
     or too large a step).
     """
+    _check_symmetric(k0)
     grid = k0.grid
     tables = model.hierarchy_tables(grid, cfg.eps)
     bound = _stability_guard(tables, grid, k0.order)
     if dt is None:
         dt = min(0.5 * bound, T) if T > 0 else bound
     steps = _TimeSteps(T, dt, snapshot_times, bound)
+    norm0 = k0.ruelle_norm()
+    if not math.isfinite(norm0):
+        raise BlowUpError(f"initial hierarchy norm {norm0:.3e} is not finite")
+    norm0 = max(norm0, 1e-300)
 
     if check:
         report = check_conditions(model, max(k0.C, 1.0 + 1e-9), grid)
@@ -798,7 +814,6 @@ def evolve(model: RateModel, k0: CorrelationVector, T: float,
                 f"conditions do not certify the evolution: a1 + a2/C = {report.sum_a:.4f} >= 3/2",
                 RuntimeWarning)
 
-    norm0 = max(k0.ruelle_norm(), 1e-300)
     lay = _layout(tables, grid, k0.homogeneous, k0.order)
 
     def guard(k: CorrelationVector, t: float) -> CorrelationVector:

@@ -1,5 +1,12 @@
-import numpy as np
-import pytest
+import os
+
+# OpenBLAS at one thread, as the benchmark runs the CLI: with both cores
+# busy, the tests' many small matrix products each wait on a second BLAS
+# thread.  Set before numpy is first imported; an explicit setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from birthdeath import FiniteConfiguration, Grid, SetFunction, Torus
 

@@ -665,3 +665,27 @@ def test_overflowing_model_is_one_aborted_line(tmp_path, command):
     assert "RuntimeWarning" not in done.stderr
     line, = done.stderr.splitlines()
     assert line.startswith("aborted: "), line
+
+
+@pytest.mark.parametrize("homogeneous", [False, True])
+@pytest.mark.parametrize("density", [1e150, 1e200])
+def test_huge_density_evolve_is_one_aborted_line(tmp_path, density, homogeneous):
+    # d = 1, M = 16: at 1e150 the pair function 1e300 is finite and the
+    # first step's kernel integrals overflow, so the norm guard names the
+    # NaN; at 1e200 the initial pair function is inf and the run takes no
+    # step.  Either way one line, with no numpy warning before it
+    cfg = glauber_config(tmp_path / "out", M=16)
+    cfg["run"] = {"T": 0.2, "dt": 0.05, "snapshots": 2, "initial_density": density,
+                  "homogeneous": homogeneous}
+    src = str(Path(birthdeath.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run([sys.executable, "-m", "birthdeath.cli", "--config",
+                           write_config(tmp_path / "c.json", cfg), "hierarchy", "evolve"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    line, = done.stderr.splitlines()
+    named = "hierarchy norm nan is not finite" if density == 1e150 \
+        else "initial hierarchy norm inf is not finite"
+    assert line.startswith(f"aborted: {named}"), line

@@ -37,7 +37,7 @@ def random_vector(rng, grid, C, homogeneous=False):
         # translation invariance: constant density, even offset pair function
         k1 = np.full(n, rng.normal())
         k2 = rng.normal(size=n)
-        k2 = 0.5 * (k2 + k2[(-np.arange(n)) % n])
+        k2 = 0.5 * (k2 + k2[grid.negated_offset])
     else:
         k1 = rng.normal(size=n)
         k2 = rng.normal(size=(n, n))
@@ -377,32 +377,32 @@ def ref_order1_parts(t, lay, grid, k, k2e, cfg):
 
 
 def ref_order2_parts(t, lay, grid, k, k2e, cfg, rates):
-    """(death, birth): the death term k2 * F, F with the pair's death rates
-    D2 + D2^T when `rates`, and the symmetrized birth term."""
+    """The pair term X + X^T for X = bterm - k2 * f(D2, v[:, None]), the
+    birth term less the death term with the first point of the pair active
+    (with its death rate D2 when `rates`): k2 is symmetric."""
     w, z = lay.w, cfg.zeta_max
-    d2t = ref_transpose(lay, grid, t.D2)
     if t.structure == "support_one":
         v = w * (t.Ad @ k.k1) if cfg.closure == "poisson" and z >= 1 else np.zeros(lay.rows)
-        if rates:
-            death = k2e * ((t.D2 + v[:, None]) + (d2t + v[None, :]))
-        else:
-            death = k2e * (v[:, None] + v[None, :])
+        death = ((t.D2 if rates else 0.0) + v[:, None]) * k2e
         bterm = t.B2 * k.k1[None, :]
         if z >= 1:
             bterm = w * ref_compose(lay, k2e) + bterm
-        return death, bterm + ref_transpose(lay, grid, bterm)
-    cd1 = w * (t.Gd @ k.k1)
-    cb1 = w * (t.Gb @ k.k1)
-    j_hi_d = z if cfg.closure == "poisson" else 0
-    u = ref_exp_series(cd1, 1, j_hi_d) + (1.0 if rates else 0.0)
-    death = k2e * (t.D2 * u[:, None] + d2t * u[None, :])
-    j_hi_b = z if cfg.closure == "poisson" else min(z, 1)
-    if j_hi_b >= 1:
-        scale = w * ref_exp_series(cb1, 1, j_hi_b, shift=1)
-        bterm = t.B2 * (ref_compose(lay, k2e) * scale[:, None] + k.k1[None, :])
     else:
-        bterm = t.B2 * k.k1[None, :]
-    return death, bterm + ref_transpose(lay, grid, bterm)
+        cd1 = w * (t.Gd @ k.k1)
+        cb1 = w * (t.Gb @ k.k1)
+        j_hi_d = z if cfg.closure == "poisson" else 0
+        u = ref_exp_series(cd1, 1, j_hi_d)
+        if rates:
+            u = 1.0 + u
+        death = t.D2 * u[:, None] * k2e
+        j_hi_b = z if cfg.closure == "poisson" else min(z, 1)
+        if j_hi_b >= 1:
+            scale = w * ref_exp_series(cb1, 1, j_hi_b, shift=1)
+            bterm = t.B2 * (ref_compose(lay, k2e) * scale[:, None] + k.k1[None, :])
+        else:
+            bterm = t.B2 * k.k1[None, :]
+    x = bterm - death
+    return x + ref_transpose(lay, grid, x)
 
 
 def ref_operator(lay, grid, k, cfg, ks):
@@ -414,8 +414,7 @@ def ref_operator(lay, grid, k, cfg, ks):
     out1 = (-death_tail1 + birth1) / t.D1 if ks else -t.D1 * k.k1[:lay.rows] - death_tail1 + birth1
     out2 = None
     if k.order >= 2:
-        death2, birth2 = ref_order2_parts(t, lay, grid, k, k2e, cfg, rates=not ks)
-        out2 = birth2 - death2
+        out2 = ref_order2_parts(t, lay, grid, k, k2e, cfg, rates=not ks)
         if ks:
             out2 = out2 / (t.D2 + ref_transpose(lay, grid, t.D2))
     return out1, out2
@@ -468,7 +467,13 @@ class TestOperatorMatchesReference:
         cases.append(("none", 0))
         for tables in operator_tables(grid, rng):
             for homogeneous in (False, True):
-                k2 = rng.normal(size=n) if homogeneous else rng.normal(size=(n, n))
+                # symmetric pair functions, bit for bit
+                if homogeneous:
+                    k2 = rng.normal(size=n)
+                    k2 = 0.5 * (k2 + k2[grid.negated_offset])
+                else:
+                    k2 = rng.normal(size=(n, n))
+                    k2 = 0.5 * (k2 + k2.T)
                 k = CorrelationVector(grid, 1.5, rng.normal(),
                                       np.full(n, rng.normal()) if homogeneous else rng.normal(size=n),
                                       k2, homogeneous=homogeneous)
@@ -495,6 +500,7 @@ class TestOperatorMatchesReference:
         grid = Grid(Torus(2, 1.0), 6)
         model = oracle_models(grid.torus)[0]
         lay = _layout(model.hierarchy_tables(grid), grid, homogeneous)
+        assert np.array_equal(lay.diag, lay.t.D2 + ref_transpose(lay, grid, lay.t.D2))
         cfg = HierarchyConfig(zeta_max=2, closure="poisson")
         for op in (_apply_tables, lambda l, v, c: _ks_tables(l, v, c, "glauber")):
             k_a = random_vector(rng, grid, 1.5, homogeneous)
@@ -504,7 +510,7 @@ class TestOperatorMatchesReference:
             second = op(lay, k_b, cfg)
             assert np.array_equal(first.k1, saved[0]) and np.array_equal(first.k2, saved[1])
             held = [first.k1, first.k2, second.k1, second.k2]
-            operands = [k_a.k1, k_a.k2, k_b.k1, k_b.k2, lay.D2T, lay.diag] + [
+            operands = [k_a.k1, k_a.k2, k_b.k1, k_b.k2, lay.diag] + [
                 getattr(lay.t, f.name) for f in dataclasses.fields(lay.t)
                 if isinstance(getattr(lay.t, f.name), np.ndarray)]
             for i, a in enumerate(held):
@@ -545,8 +551,8 @@ class TestWindowedComposition:
         """An inf in k2 row 16 of a d = 1, M = 64 state: the whole product
         has 0 * inf = NaN in its column on every row beyond the kernel's
         reach of 6 lines, the windowed one only on the rows of the block
-        whose window holds row 16.  The guard of `evolve` sees a NaN norm
-        either way, as the pair term at the inf entry is itself NaN."""
+        whose window holds row 16.  `evolve` refuses the state before any
+        step, as its norm is inf, and one application has a NaN norm."""
         torus = Torus(1, 1.0)
         grid = Grid(torus, 64)
         model = box_models(torus, grid)[0]
@@ -561,8 +567,9 @@ class TestWindowedComposition:
         assert np.array_equal(np.isnan(whole[:, 5]), ~in_reach)
         assert np.array_equal(np.isnan(windowed[:, 5]), ~in_reach & (np.arange(64) < 32))
         assert np.array_equal(np.isinf(windowed[:, 5]), in_reach)
-        with np.errstate(invalid="ignore"), pytest.raises(BlowUpError, match="norm nan is not finite"):
+        with pytest.raises(BlowUpError, match="initial hierarchy norm inf is not finite"):
             evolve(model, replace(k, k2=k2), T=0.1, dt=0.05, check=False)
+        assert math.isnan(_apply_tables(lay, replace(k, k2=k2), HierarchyConfig()).ruelle_norm())
 
 
 class TestTranslationInvariantTables:
@@ -590,7 +597,7 @@ class TestTranslationInvariantTables:
                     table = getattr(dense, name)
                     assert np.array_equal(table, expect[name]), case
                     assert np.array_equal(table, table[0][grid.offset_index]), case
-                assert np.array_equal(lay.D2T, expect["D2"].T), (model.name, eps)
+                assert np.array_equal(lay.diag, expect["D2"] + expect["D2"].T), (model.name, eps)
 
     def test_order_one_dense_layout_gathers_no_pair_rates(self):
         # order-one operators read Gd, Gb (or Ad, Ab) but never D2 or B2
@@ -602,8 +609,9 @@ class TestTranslationInvariantTables:
             tables = model.hierarchy_tables(grid)
             order1 = _layout(tables, grid, homogeneous=False, order=1)
             full = _layout(tables, grid, homogeneous=False)
-            assert order1.t.D2 is None and order1.D2T is None and order1.t.B2 is None, model.name
+            assert order1.t.D2 is None and order1.t.B2 is None, model.name
             assert full.t.D2.shape == full.t.B2.shape == (20, 20)
+            assert np.array_equal(full.diag, full.t.D2 + full.t.D2.T), model.name
             for closure, z in (("poisson", 3), ("zero", 2)):
                 cfg = HierarchyConfig(zeta_max=z, closure=closure)
                 for a, b in ((_apply_tables(order1, k, cfg), _apply_tables(full, k, cfg)),
@@ -621,7 +629,7 @@ class TestTranslationInvariantTables:
                 arrays = [getattr(t, f.name) for t in (tables, lay.t)
                           for f in dataclasses.fields(t)
                           if isinstance(getattr(t, f.name), np.ndarray)]
-                for a in arrays + [lay.D2T, lay.diag]:
+                for a in arrays + [lay.diag]:
                     with pytest.raises(ValueError, match="read-only"):
                         a[...] = 0.0
 
@@ -641,10 +649,10 @@ class TestTranslationInvariantTables:
         assert peak < 16 * 2 ** 20, peak
 
     def test_dense_run_peak_in_pair_tables(self):
-        # d = 2, M = 32, two RK4 steps: the gathered tables D2, D2^T, B2,
-        # Gd, Gb, the run's operator workspace (the composition Gb @ k2 that
-        # becomes each result, a work array and the death term) and three
-        # states (state, accumulator, stage): 11 (N, N) arrays, besides
+        # d = 2, M = 32, two RK4 steps: the gathered tables D2, B2, Gd, Gb,
+        # the run's operator workspace (the composition Gb @ k2 that becomes
+        # each result, a work array and the half X of the pair term X + X^T)
+        # and three states (state, accumulator, stage): 10 (N, N) arrays, besides
         # length-N vectors (0.03 N^2 in all) and the k2 rows that a wrapping
         # window gathers (7 lines, 0.21 N^2); the offset table is freed once
         # the tables are gathered
@@ -659,7 +667,7 @@ class TestTranslationInvariantTables:
         finally:
             tracemalloc.stop()
         assert len(run.times) == 1 and run.times[0] == pytest.approx(0.1)
-        assert peak < 11.5 * 8 * grid.node_count ** 2, peak / (8 * grid.node_count ** 2)
+        assert peak < 10.5 * 8 * grid.node_count ** 2, peak / (8 * grid.node_count ** 2)
 
     @pytest.mark.parametrize("dim,m", TIE_GRIDS)
     def test_dense_run_keeps_constant_density(self, dim, m):
@@ -692,6 +700,34 @@ class TestDuality:
             rhs = dual_pairing(G, apply_dual_generator(model, k, cfg))
             scale = max(1e-30, G.l1_norm() * k.ruelle_norm())
             assert abs(lhs - rhs) / scale < 1e-12
+
+
+class TestPairFunctionSymmetry:
+    """The operators form the pair term as X + X^T, which needs k2(x, y) =
+    k2(y, x); the entry points refuse a k2 that differs from its mirror by
+    more than 1e-12 sup |k2|."""
+
+    @staticmethod
+    def skewed(grid, homogeneous, by):
+        k = CorrelationVector.coherent(grid, 1.5, 0.25, homogeneous=homogeneous)
+        k2 = k.k2.copy()
+        if homogeneous:
+            k2[1] += by      # offset 1 against offset -1
+        else:
+            k2[2, 5] += by
+        return replace(k, k2=k2)
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    @pytest.mark.parametrize("entry", ["apply_dual_generator", "ks_operator", "evolve"])
+    def test_entry_points_refuse_an_asymmetric_pair_function(self, db_model, grid16,
+                                                             homogeneous, entry):
+        call = {"apply_dual_generator": lambda k: apply_dual_generator(db_model, k),
+                "ks_operator": lambda k: ks_operator(db_model, k),
+                "evolve": lambda k: evolve(db_model, k, T=0.1, dt=0.05, check=False)}[entry]
+        with pytest.raises(ValueError, match=r"k2 is not symmetric: .* differ by up to 1\.000e-09"):
+            call(self.skewed(grid16, homogeneous, 1e-9))
+        # sup |k2| = 0.0625: a gap of 1e-14 is within the tolerance
+        call(self.skewed(grid16, homogeneous, 1e-14))
 
 
 class TestKSOperator:
