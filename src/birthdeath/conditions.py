@@ -7,8 +7,10 @@ the weaker stationary-solver condition (< 2), the growth-constant window
 for nu, and the admissible alpha interval.  Each model's quantities that
 do not depend on C (the beta integrals, the kernel profiles) are computed
 once per check and serve both the report at C and the scan for the C that
-minimizes a1 + a2/C.  A numerical verifier cross-checks the declared
-constants against dense kernel integrals on sampled configurations.
+minimizes a1 + a2/C.  A numerical verifier measures the constants again by
+Lebesgue-Poisson quadrature on sampled configurations; on grid-node
+configurations it is the test suite's oracle for the declared closed forms
+(tests/test_conditions.py), not a step of a run.
 """
 from __future__ import annotations
 
@@ -232,6 +234,10 @@ def verify_kernel_bounds(model: RateModel, C: float, grid: Grid,
     observed ratios (a1_hat, a2_hat).  When `declared` constants are given
     and exceeded beyond `rtol` relative slack, raises KernelBoundError
     naming the offending configuration.
+
+    On grid-node configurations of a model that meets every inequality,
+    the measured constants stay within the declared grid sums; the test
+    suite uses this as the oracle for `check_conditions`' closed forms.
     """
     scheme = QuadratureScheme(grid, n_max=n_max)
     a1_hat = 0.0

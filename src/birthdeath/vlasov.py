@@ -150,6 +150,20 @@ class ScalingTable:
             for j, t in enumerate(self.times):
                 yield eps, t, float(self.errors[i, j])
 
+    def eps_orders(self) -> list:
+        """The observed order in eps at each requested time: for each pair of
+        consecutive eps, log(err_i / err_{i+1}) / log(eps_i / eps_{i+1}).  An
+        order is None where it is not a finite number, as where an eps or an
+        error is 0."""
+        def order(e0, e1, r0, r1):
+            if min(e0, e1, r0, r1) > 0 and e0 != e1:
+                p = (math.log(r0) - math.log(r1)) / (math.log(e0) - math.log(e1))
+                return p if math.isfinite(p) else None
+            return None
+
+        return [[order(*self.eps_list[i:i + 2], *self.errors[i:i + 2, j])
+                 for i in range(len(self.eps_list) - 1)] for j in range(len(self.times))]
+
 
 def coherent_distance(k: CorrelationVector, rho: np.ndarray) -> float:
     """Weighted sup distance between k and the Poisson-factorized vector of rho."""

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -11,9 +10,8 @@ import numpy as np
 import pytest
 
 import birthdeath
-from birthdeath import cli
+from birthdeath import cli, hierarchy, scaling_compare
 from birthdeath.cli import load_config, main
-from birthdeath.conditions import check_conditions
 from birthdeath.errors import ConfigError
 
 
@@ -75,14 +73,13 @@ def read_csv(path):
 class TestCheck:
     def test_reference_parameters_pass(self, tmp_path, capsys):
         cfg = bdlp_example_config(tmp_path / "out")
-        cfg["run"] = {"verify_samples": 6, "verify_seed": 1}
         code = main(["--config", write_config(tmp_path / "c.json", cfg), "check"])
         assert code == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["bound_3_2"] is True
         assert report["a1_plus_a2_over_C"] == pytest.approx(1.375, rel=1e-9)
-        assert report["verified"]["holds"] is True
         assert (tmp_path / "out" / "manifest.json").exists()
+        assert capsys.readouterr().out == "conditions hold: a1 + a2/C = 1.375000 < 1.5\n"
 
     def test_huge_activity_fails_with_named_inequality(self, tmp_path, capsys):
         cfg = glauber_config(tmp_path / "out", z=50.0, s=0.0)
@@ -138,30 +135,15 @@ class TestCheck:
     def test_missing_config_file(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"), "check"]) == 2
 
-    def test_failed_verification_is_named(self, tmp_path, capsys, monkeypatch):
-        # an understated a1 is exceeded on every sample
-        def understated(model, C, grid):
-            return dataclasses.replace(check_conditions(model, C, grid), a1=0.5)
-        monkeypatch.setattr(cli, "check_conditions", understated)
-        cfg = glauber_config(tmp_path / "out")
-        cfg["run"] = {"verify_samples": 20}
-        assert main(["--config", write_config(tmp_path / "c.json", cfg), "check"]) == 1
-        verified = json.loads((tmp_path / "out" / "report.json").read_text())["verified"]
-        assert verified["holds"] is False
-        line, = capsys.readouterr().out.splitlines()
-        assert line.startswith("conditions FAIL: ")
-        assert line.endswith(f"; verification failed: {verified['reason']}")
-
-    def test_verification_on_grid_nodes_holds(self, tmp_path, capsys):
-        # evolve-dense's model: at M = 256 an off-grid sample measured a1 above
-        # the declared grid sum; on grid nodes the two agree
-        cfg = glauber_config(tmp_path / "out", M=256)
-        cfg["run"] = {"verify_samples": 20}
-        assert main(["--config", write_config(tmp_path / "c.json", cfg), "check"]) == 0
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["verified"]["holds"] is True
-        assert report["verified"]["a1_hat"] == pytest.approx(report["a1"], rel=1e-12)
-        assert capsys.readouterr().out.startswith("conditions hold: ")
+    @pytest.mark.parametrize("key", ["verify_samples", "verify_seed"])
+    def test_retired_verification_keys_are_unknown(self, tmp_path, capsys, key):
+        # the declared constants are checked against measured ones in the
+        # tests (verify_kernel_bounds), not by a run
+        cfg = bdlp_example_config(tmp_path / "out")
+        cfg["run"] = {key: 1}
+        assert main(["--config", write_config(tmp_path / "c.json", cfg), "check"]) == 2
+        assert capsys.readouterr().err == f"config error: unknown keys in run: ['{key}']\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulate:
@@ -616,6 +598,49 @@ class TestScaleCompare:
         assert errs[0] > errs[1] > errs[2]
         assert_reports_write_time(tmp_path / "out")
 
+    def test_homogeneous_false_runs_the_dense_layout(self, tmp_path, monkeypatch):
+        # scale-homog's constant density: without the key the circulant
+        # layout, with false the dense one, each for all four eps
+        layouts = []
+        layout = hierarchy._layout
+
+        def spy(tables, grid, homogeneous, order=2):
+            layouts.append(homogeneous)
+            return layout(tables, grid, homogeneous, order)
+
+        monkeypatch.setattr(hierarchy, "_layout", spy)
+        scale = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+                            / "scale-homog.json").read_text())
+        errors = {}
+        for flag in (None, False):
+            out = tmp_path / f"out-{flag}"
+            cfg = dict(scale, output={"directory": str(out)})
+            if flag is not None:
+                cfg["run"] = dict(scale["run"], homogeneous=flag)
+            layouts.clear()
+            assert main(["--config", write_config(tmp_path / "c.json", cfg), "scale-compare"]) == 0
+            assert layouts == [flag is None] * len(scale["run"]["eps_list"])
+            errors[flag] = np.array(read_csv(out / "errors.csv")[1])
+        assert np.array_equal(errors[None][:, :2], errors[False][:, :2])
+        np.testing.assert_allclose(errors[False][:, 2], errors[None][:, 2], rtol=1e-12, atol=0)
+
+    def test_manifest_records_the_eps_orders(self, tmp_path):
+        # the config of test_error_is_first_order_in_eps: eps halved from 1
+        # to 1/32, then 0, whose pair with 1/32 has no order
+        cfg = glauber_config(tmp_path / "out", M=32)
+        grid = cli.build_space(cfg)[1]
+        rho0 = 0.2 + 0.05 * np.cos(2 * np.pi * grid.nodes[:, 0])
+        eps = [2.0 ** -j for j in range(6)] + [0.0]
+        cfg["run"] = {"T": 1.0, "dt": 0.05, "initial_density": rho0.tolist(), "eps_list": eps}
+        assert main(["--config", write_config(tmp_path / "c.json", cfg), "scale-compare"]) == 0
+        orders, = json.loads((tmp_path / "out" / "manifest.json").read_text())["eps_orders"]
+        model = cli.build_model(cfg, grid.torus, grid)
+        errors = scaling_compare(model, grid, eps, rho0, T=1.0, dt=0.05, C=1.5).errors[:, 0]
+        expected = [math.log2(a / b) for a, b in zip(errors[:5], errors[1:6])]
+        assert orders[:5] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert all(0.9 <= p <= 1.0 for p in orders[:5]), orders
+        assert orders[5] is None
+
 
 class TestUsage:
     def test_missing_subcommand(self):
@@ -653,8 +678,7 @@ def test_overflowing_model_is_one_aborted_line(tmp_path, command):
     cfg["model"]["phi"]["height"] = 800.0
     cfg["run"] = {"T": 0.2, "dt": 0.05, "snapshots": 2, "initial_density": 0.2,
                   "homogeneous": False, "replicas": 2, "seed": 3,
-                  "initial": {"type": "poisson", "intensity": 5.0},
-                  "verify_samples": 20, "eps_list": [1.0, 0.3]}
+                  "initial": {"type": "poisson", "intensity": 5.0}, "eps_list": [1.0, 0.3]}
     src = str(Path(birthdeath.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.pop("PYTHONWARNINGS", None)

@@ -1,12 +1,13 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from birthdeath import (BDLPModel, BoxKernel, ConditionReport, GlauberModel, beta_tau,
-                        check_conditions, detailed_balance_bdlp, normalize_on_grid,
-                        stationary_solve, verify_kernel_bounds)
+from birthdeath import (BDLPModel, BoxKernel, ConditionReport, FiniteConfiguration,
+                        GlauberModel, beta_tau, check_conditions, detailed_balance_bdlp,
+                        normalize_on_grid, stationary_solve, verify_kernel_bounds)
 from birthdeath.errors import ConditionError, KernelBoundError
 from birthdeath.kernels import RadialKernel
 from birthdeath.space import Grid, GridFunction, Torus
@@ -264,3 +265,66 @@ class TestVerifyKernelBounds:
                                               declared=(rep.a1, rep.a2))
         assert a1_hat <= rep.a1 * (1 + 1e-6)
         assert a2_hat <= rep.a2 * (1 + 1e-6)
+
+
+def grid_node_samples(grid, count, seed):
+    """`count` configurations from PCG64(seed), each of 1 to 3 distinct grid
+    nodes: the declared constants are grid sums of kernel profiles at node
+    offsets, which a point off the grid misses."""
+    rng, n = np.random.Generator(np.random.PCG64(seed)), grid.node_count
+    return [FiniteConfiguration(grid.nodes[rng.choice(n, rng.integers(1, 4), replace=False)],
+                                grid.torus) for _ in range(count)]
+
+
+def reference_bdlp(torus, grid, C=2.0):
+    # 4 kminus C = m/2 and 4 kplus a+ = (C/2) kminus a-: a1 + a2/C = 1.375
+    a = normalize_on_grid(BoxKernel(1.0, 0.1), grid)
+    return BDLPModel(torus, m=1.0, kappa_minus=1.0 / (8.0 * C), kappa_plus=1.0 / 64.0,
+                     a_minus=a, a_plus=a)
+
+
+class TestDeclaredConstantsOracle:
+    """verify_kernel_bounds measures a1 and a2 by Lebesgue-Poisson quadrature;
+    on grid-node configurations it checks the closed forms of
+    check_conditions."""
+
+    @pytest.mark.parametrize("family", ["glauber", "bdlp"])
+    def test_grid_node_samples_attain_declared_a1(self, torus1, family):
+        # evolve-dense's model at M = 256 (20 samples, seed 0), and the
+        # reference BDLP chain at M = 64 (6 samples, seed 1); at M = 256 a
+        # point off the grid measured a1 above the declared grid sum
+        if family == "glauber":
+            grid, C, count, seed = Grid(torus1, 256), 1.5, 20, 0
+            model = GlauberModel(torus1, s=0.5, z=0.3, phi=BoxKernel(0.4, 0.1))
+        else:
+            grid, C, count, seed = Grid(torus1, 64), 2.0, 6, 1
+            model = reference_bdlp(torus1, grid, C)
+        rep = check_conditions(model, C, grid)
+        assert not rep.failed_inequalities()
+        a1_hat, a2_hat = verify_kernel_bounds(model, C, grid, grid_node_samples(grid, count, seed),
+                                              declared=(rep.a1, rep.a2))
+        assert a1_hat == pytest.approx(rep.a1, rel=1e-12)
+        assert a2_hat <= rep.a2
+
+    def test_measured_constants_exceed_declared_only_where_an_inequality_fails(self, torus1):
+        # the premise of check's verdict: over this sweep the measured
+        # constants exceed the declared ones only in cases that already fail
+        # an inequality, so a verification would never change an exit code
+        grid = Grid(torus1, 32)
+        a = normalize_on_grid(BoxKernel(1.0, 0.1), grid)
+        models = [("glauber", GlauberModel(torus1, s=s, z=z, phi=BoxKernel(height, 0.1)))
+                  for s in (0.0, 0.5, 1.0) for z in (0.1, 2.0, 20.0) for height in (0.4, 3.0)]
+        models += [("bdlp", BDLPModel(torus1, m=1.0, kappa_minus=km, kappa_plus=kp,
+                                      a_minus=a, a_plus=a, kappa=kappa))
+                   for km in (0.01, 0.5, 3.0) for kp in (0.01, 0.5, 3.0) for kappa in (0.0, 1.0)]
+        samples = grid_node_samples(grid, 6, 0)
+        holding = {"glauber": 0, "bdlp": 0}
+        for (family, model), C in itertools.product(models, (1.2, 2.0, 5.0)):
+            rep = check_conditions(model, C, grid)
+            failed = rep.failed_inequalities()
+            holding[family] += not failed
+            try:
+                verify_kernel_bounds(model, C, grid, samples, declared=(rep.a1, rep.a2))
+            except KernelBoundError as exc:
+                assert failed, (family, model, C, exc)
+        assert min(holding.values()) >= 1, holding

@@ -9,7 +9,7 @@ from birthdeath import (BDLPModel, BoxKernel, CorrelationVector, GlauberModel,
                         scaling_compare, vlasov_rhs, vlasov_rhs_reference)
 from birthdeath.errors import BlowUpError, StabilityError
 from birthdeath.space import Grid, Torus
-from birthdeath.vlasov import integrate
+from birthdeath.vlasov import ScalingTable, integrate
 
 
 @pytest.fixture
@@ -223,6 +223,16 @@ class TestScalingCompare:
         orders = [math.log2(a / b) for a, b in zip(errors[:5], errors[1:6])]
         assert all(0.9 <= p <= 1.1 for p in orders[-3:]), orders
         assert errors[-1] < 1e-6, errors[-1]
+
+    def test_eps_orders_are_none_where_undefined(self):
+        # equal eps, an eps of 0 and an error of 0 give no finite order
+        table = ScalingTable([1.0, 1.0, 0.5, 0.25, 0.0], [0.5, 1.0],
+                             np.array([[0.4, 0.2], [0.4, 0.2], [0.1, 0.1], [0.0, 0.05],
+                                       [0.01, 0.01]]), [0.5, 1.0])
+        orders = table.eps_orders()
+        assert [[p is None for p in row] for row in orders] == [[True, False, True, True],
+                                                                [True, False, False, True]]
+        assert [orders[0][1], *orders[1][1:3]] == pytest.approx([2.0, 1.0, 1.0], rel=1e-12)
 
     def test_limit_symbols_track_mean_field(self, glauber, grid64):
         table = scaling_compare(glauber, grid64, [0.0], rho0=0.25,
